@@ -21,11 +21,9 @@ from .geometry import (
     Distribution,
     Halfspace,
     ProblemConfig,
-    classify,
     random_unit_vector,
     sample_instances,
     sample_size,
-    true_compare,
 )
 from .harness import ExperimentConfig, ReportRow, load_config, run_experiment, sweep
 from .learner import LearnResult, learn_consistent

@@ -69,7 +69,7 @@ def noisy_quicksort(points, k1: int, oracle: CrowdOracle) -> tuple[np.ndarray, i
         pivot_at = int(oracle.rng.integers(len(segment)))
         pivot = segment[pivot_at]
         others = segment[:pivot_at] + segment[pivot_at + 1 :]
-        tags = oracle.majority_compare_batch(points[others], points[pivot], k1)
+        tags = oracle.majority(points[others], k1, reference=points[pivot])
         n_tests += len(others)
         left = [j for j, tag in zip(others, tags) if tag == -1]
         right = [j for j, tag in zip(others, tags) if tag != -1]
@@ -94,7 +94,7 @@ def threshold_search(sorted_points, k2: int, oracle: CrowdOracle) -> tuple[int, 
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        if oracle.majority_label(sorted_points[mid - 1], k2) == 1:
+        if oracle.majority(sorted_points[mid - 1 : mid], k2)[0] == 1:
             hi = mid
         else:
             lo = mid + 1

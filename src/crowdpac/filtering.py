@@ -100,8 +100,8 @@ class RoundStats:
 class FilterOutcome:
     """Partition produced by the filter, with per-round accounting.
 
-    Index arrays refer to rows of the input set; the ``*_instances``
-    properties materialize the corresponding rows.  Suspected, confirmed and
+    Index arrays refer to rows of the input set; ``suspected_mistakes``
+    materializes the suspected rows.  Suspected, confirmed and
     sub-sampled indices are pairwise disjoint subsets of the input.
     """
 
@@ -114,14 +114,6 @@ class FilterOutcome:
     @property
     def suspected_mistakes(self) -> np.ndarray:
         return self.source[self.suspected_indices]
-
-    @property
-    def confirmed_agreements(self) -> np.ndarray:
-        return self.source[self.confirmed_indices]
-
-    @property
-    def subsampled(self) -> np.ndarray:
-        return self.source[self.subsampled_indices]
 
     @property
     def round_count(self) -> int:
@@ -179,13 +171,13 @@ def _walk_verdicts(
     sides = 0
     if support.below is not None:
         sides += 1
-        sums = oracle.presample_comparison_tags(points, support.below, walk_length).cumsum(axis=1)
+        sums = oracle.responses(points, walk_length, reference=support.below).cumsum(axis=1)
         at_odd = sums[:, odd_cols]
         inside &= at_odd > 0
         agree |= (at_odd < 0) & (h_labels == -1)[:, None]
     if support.above is not None:
         sides += 1
-        sums = oracle.presample_comparison_tags(points, support.above, walk_length).cumsum(axis=1)
+        sums = oracle.responses(points, walk_length, reference=support.above).cumsum(axis=1)
         at_odd = sums[:, odd_cols]
         inside &= at_odd < 0
         agree |= (at_odd > 0) & (h_labels == 1)[:, None]

@@ -86,27 +86,6 @@ class ProblemConfig:
             raise ValueError("problem.vc_constant must be positive")
 
 
-def classify(h: Halfspace, x) -> int:
-    """sign(w . x) for a single instance, sign(0) = +1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.dim,):
-        raise ValueError(f"dimension mismatch: expected ({h.dim},), got {x.shape}")
-    return sign_pm1(float(x @ h.weights))
-
-
-def true_compare(gt: Halfspace, x, x_other) -> int:
-    """Noise-free comparison tag: sign(w* . (x - x')), sign(0) = +1.
-
-    +1 means x projects at least as high as x' along the ground-truth
-    direction, i.e. x is at least as likely to be positive.
-    """
-    x = np.asarray(x, dtype=float)
-    x_other = np.asarray(x_other, dtype=float)
-    if x.shape != (gt.dim,) or x_other.shape != (gt.dim,):
-        raise ValueError("dimension mismatch between ground truth and instances")
-    return sign_pm1(float((x - x_other) @ gt.weights))
-
-
 def sample_instances(cfg: ProblemConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. instances from the configured marginal, shape (n, d)."""
     if n < 0:

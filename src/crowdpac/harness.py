@@ -231,6 +231,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"crowd.{exc}") from exc
     elif worker_model != "iid":
         raise ConfigError(f"crowd.worker_model: unknown value {worker_model!r}")
+    else:
+        for key in ("reliable_fraction", "reliable_accuracy", "adversary"):
+            if key in values:
+                raise ConfigError(f"crowd.pool.{key}: {key} needs worker_model = pool")
 
     try:
         crowd = CrowdConfig(

@@ -65,20 +65,15 @@ def learn_consistent(
     points,
     labels,
     max_updates: int | None = None,
-    add_bias: bool = False,
     solver: str = "perceptron",
 ) -> LearnResult:
     """Fit a halfspace with zero training error on a separable sample.
 
-    ``add_bias`` lifts every instance with a constant 1 coordinate, making a
-    threshold learnable as a homogeneous separator in d+1 dimensions (the
-    returned weights then live in the lifted space).  ``solver`` is
-    "perceptron" (reference path with feasibility fallback) or "feasibility"
-    (direct linear-program solve, same contract, faster on thin margins).
+    ``solver`` is "perceptron" (reference path with feasibility fallback) or
+    "feasibility" (direct linear-program solve, same contract, faster on thin
+    margins).
     """
     points, labels = _validate_sample(points, labels)
-    if add_bias:
-        points = np.hstack([points, np.ones((len(points), 1))])
     n, d = points.shape
     if max_updates is None:
         max_updates = DEFAULT_UPDATE_FACTOR * n

@@ -2,9 +2,12 @@
 
 Every response is correct with probability at least 1/2 + margin (alpha for
 labels, beta for comparisons).  Workers are memoryless: repeated queries on
-the same instance or pair are independent.  A ``QueryLedger`` counts every
-label query in ``label_queries`` and every comparison query in
-``comparison_queries``; a majority vote of k workers charges exactly k.
+the same instance or pair are independent.  ``CrowdOracle`` answers batches
+of questions two ways: ``majority`` returns one k-vote majority tag per
+question and charges its k votes to the ``QueryLedger`` (``label_queries``
+for labels, ``comparison_queries`` for comparisons); ``responses`` returns
+the individual tags and charges nothing, leaving the caller to charge the
+votes it actually consumes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Halfspace, sign_pm1
+from .geometry import Halfspace
 
 
 class Adversary(enum.Enum):
@@ -92,11 +95,6 @@ def next_odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def majority(tags) -> int:
-    """Majority in {-1, +1} of a sequence of tags (sum tie resolves to +1)."""
-    return sign_pm1(int(np.sum(tags)))
-
-
 def vote_sizes(m: int, delta: float, cfg: CrowdConfig) -> tuple[int, int]:
     """Per-test vote counts (k1 for comparisons, k2 for labels).
 
@@ -149,74 +147,45 @@ class CrowdOracle:
             adv = self.rng.random(n) < 0.5
         return np.where(reliable, correct, adv)
 
-    def _label_truth(self, x) -> int:
-        return sign_pm1(float(np.asarray(x, dtype=float) @ self.ground_truth.weights))
-
-    def _comparison_truth(self, x, x_other) -> int:
-        diff = np.asarray(x, dtype=float) - np.asarray(x_other, dtype=float)
-        return sign_pm1(float(diff @ self.ground_truth.weights))
-
-    # -- single queries -----------------------------------------------------
-
-    def query_label(self, x) -> int:
-        """One noisy label; charges one label query."""
-        self.ledger.charge_labels(1)
-        truth = self._label_truth(x)
-        return truth if self._correct(self.config.alpha, 1)[0] else -truth
-
-    def query_comparison(self, x, x_other) -> int:
-        """One noisy comparison tag; charges one comparison query."""
-        self.ledger.charge_comparisons(1)
-        truth = self._comparison_truth(x, x_other)
-        return truth if self._correct(self.config.beta, 1)[0] else -truth
-
-    # -- majority votes -----------------------------------------------------
-
-    def majority_label(self, x, k: int) -> int:
-        """Majority of k independent label queries; charges k."""
-        if k < 1 or k % 2 == 0:
-            raise ValueError("majority vote size must be a positive odd count")
-        self.ledger.charge_labels(k)
-        truth = self._label_truth(x)
-        n_correct = int(np.count_nonzero(self._correct(self.config.alpha, k)))
-        return truth if 2 * n_correct > k else -truth
-
-    def majority_compare(self, x, x_other, k: int) -> int:
-        """Majority of k independent comparison queries; charges k."""
-        if k < 1 or k % 2 == 0:
-            raise ValueError("majority vote size must be a positive odd count")
-        self.ledger.charge_comparisons(k)
-        truth = self._comparison_truth(x, x_other)
-        n_correct = int(np.count_nonzero(self._correct(self.config.beta, k)))
-        return truth if 2 * n_correct > k else -truth
-
-    def majority_compare_batch(self, points, reference, k: int) -> np.ndarray:
-        """k-vote majority comparison of each row of ``points`` against one
-        reference instance; charges k per row.  Identical in distribution to
-        looping ``majority_compare``."""
-        if k < 1 or k % 2 == 0:
-            raise ValueError("majority vote size must be a positive odd count")
+    def _draw(self, points, k: int, reference) -> tuple[np.ndarray, np.ndarray]:
+        """Truths of len(points) questions and an (n, k) mask of which fresh
+        responses are correct: labels when ``reference`` is None, otherwise
+        comparisons of each row against ``reference``."""
         points = np.asarray(points, dtype=float)
+        if reference is None:
+            margin = self.config.alpha
+        else:
+            margin = self.config.beta
+            reference = np.asarray(reference, dtype=float)
+            if points.shape[-1:] != reference.shape:
+                raise ValueError("dimension mismatch between questions and reference")
+            points = points - reference
         n = len(points)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        self.ledger.charge_comparisons(n * k)
-        truths = sign_pm1((points - np.asarray(reference)) @ self.ground_truth.weights)
-        n_correct = self._correct(self.config.beta, n * k).reshape(n, k).sum(axis=1)
-        return np.where(2 * n_correct > k, truths, -truths)
+        truths = self.ground_truth.predict(points)  # checks the dimension
+        return truths, self._correct(margin, n * k).reshape(n, k)
 
-    # -- batched pre-sampling ------------------------------------------------
+    # -- answering ------------------------------------------------------------
 
-    def presample_comparison_tags(self, points, reference, rounds: int) -> np.ndarray:
-        """Pre-draw comparison responses for many instances against one
-        reference: a (len(points), rounds) matrix of tags.
+    def majority(self, points, k: int, reference=None) -> np.ndarray:
+        """k-vote majority tag for each row of ``points``: its label, or its
+        comparison against ``reference``.  Charges n*k to the matching
+        counter of the ledger."""
+        if k < 1 or k % 2 == 0:
+            raise ValueError("majority vote size must be a positive odd count")
+        truths, correct = self._draw(points, k, reference)
+        if reference is None:
+            self.ledger.charge_labels(correct.size)
+        else:
+            self.ledger.charge_comparisons(correct.size)
+        return np.where(2 * correct.sum(axis=1) > k, truths, -truths)
+
+    def responses(self, points, k: int, reference=None) -> np.ndarray:
+        """(n, k) matrix of individual response tags, questions as in
+        ``majority``.
 
         Does NOT charge the ledger: callers running sequential early-stopping
         tests consume a prefix of each row and must charge exactly the
-        consumed count via ``ledger.charge_comparisons``.
+        consumed count.
         """
-        points = np.asarray(points, dtype=float)
-        truths = sign_pm1((points - np.asarray(reference)) @ self.ground_truth.weights)
-        n = points.shape[0]
-        correct = self._correct(self.config.beta, n * rounds).reshape(n, rounds)
+        truths, correct = self._draw(points, k, reference)
         return np.where(correct, truths[:, None], -truths[:, None])

@@ -34,7 +34,6 @@ from .oracles import CrowdConfig, CrowdOracle, QueryLedger
 # confidence handed to every sort-and-label call inside the pipeline
 PHASE_CONFIDENCE = 1e-3
 
-ALGORITHMS = ("boost", "natural")
 _ALG_STREAM = {"boost": 0, "natural": 1}
 
 

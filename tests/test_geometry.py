@@ -7,49 +7,53 @@ from crowdpac.geometry import (
     Distribution,
     Halfspace,
     ProblemConfig,
-    classify,
     random_unit_vector,
     sample_instances,
     sample_size,
-    true_compare,
 )
 
-from conftest import make_rng
+from conftest import make_oracle, make_rng
+
+
+def noiseless_compare(gt: Halfspace, x, x_other) -> int:
+    """Noise-free comparison tag sign(w* . (x - x')) from a noiseless oracle."""
+    oracle = make_oracle(gt.weights, 0.5, 0.5, 0)
+    return oracle.majority(np.asarray(x)[None], 1, reference=x_other)[0]
 
 
 class TestClassify:
     def test_positive_dot_product(self):
-        assert classify(Halfspace(np.array([1.0, 0.0])), np.array([2.0, 1.0])) == 1
+        assert Halfspace(np.array([1.0, 0.0])).predict(np.array([2.0, 1.0])[None])[0] == 1
 
     def test_sign_zero_is_positive(self):
-        assert classify(Halfspace(np.array([1.0, 0.0])), np.array([0.0, 5.0])) == 1
+        assert Halfspace(np.array([1.0, 0.0])).predict(np.array([0.0, 5.0])[None])[0] == 1
 
     def test_negative_dot_product(self):
-        assert classify(Halfspace(np.array([1.0, -1.0])), np.array([1.0, 2.0])) == -1
+        assert Halfspace(np.array([1.0, -1.0])).predict(np.array([1.0, 2.0])[None])[0] == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            classify(Halfspace(np.array([1.0, 0.0])), np.array([1.0, 2.0, 3.0]))
+            Halfspace(np.array([1.0, 0.0])).predict(np.array([1.0, 2.0, 3.0])[None])
 
 
 class TestTrueCompare:
     def test_higher_projection_wins(self):
         gt = Halfspace(np.array([1.0, 0.0]))
-        assert true_compare(gt, np.array([3.0, 0.0]), np.array([1.0, 0.0])) == 1
+        assert noiseless_compare(gt, np.array([3.0, 0.0]), np.array([1.0, 0.0])) == 1
 
     def test_equal_instances_tie_positive(self):
         gt = Halfspace(np.array([1.0, 0.0]))
         x = np.array([0.4, 0.6])
-        assert true_compare(gt, x, x) == 1
+        assert noiseless_compare(gt, x, x) == 1
 
     def test_lower_projection(self):
         gt = Halfspace(np.array([0.0, 1.0]))
-        assert true_compare(gt, np.array([9.0, 0.0]), np.array([0.0, 1.0])) == -1
+        assert noiseless_compare(gt, np.array([9.0, 0.0]), np.array([0.0, 1.0])) == -1
 
     def test_dimension_mismatch(self):
         gt = Halfspace(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            true_compare(gt, np.array([1.0]), np.array([1.0, 2.0]))
+            noiseless_compare(gt, np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_consistent_with_projection_order(self):
         rng = make_rng(101)
@@ -57,7 +61,7 @@ class TestTrueCompare:
         points = rng.standard_normal((200, 4))
         for _ in range(300):
             i, j = rng.integers(200, size=2)
-            tag = true_compare(gt, points[i], points[j])
+            tag = noiseless_compare(gt, points[i], points[j])
             pi, pj = points[i] @ gt.weights, points[j] @ gt.weights
             assert tag == (1 if pi >= pj else -1)
 
@@ -79,7 +83,7 @@ class TestHalfspace:
         points = rng.standard_normal((50, 3))
         assert np.array_equal(gt.predict(points), scaled.predict(points))
         x, y = points[0], points[1]
-        assert true_compare(gt, x, y) == true_compare(scaled, x, y)
+        assert noiseless_compare(gt, x, y) == noiseless_compare(scaled, x, y)
 
 
 class TestSampleInstances:

@@ -80,6 +80,15 @@ class TestConfigParsing:
         assert cfg.filter.walk_length == 21
         assert parse_config_text(dump_config(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "line", ["reliable_fraction = 0.2", "reliable_accuracy = 0.9", "adversary = nonsense"]
+    )
+    def test_pool_keys_need_pool_model(self, line):
+        key = line.split(" = ")[0]
+        for text in (MINIMAL, MINIMAL + "worker_model = iid\n"):
+            with pytest.raises(ConfigError, match=rf"^crowd\.pool\.{key}"):
+                parse_config_text(text + line + "\n")
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL)

@@ -85,17 +85,6 @@ def test_deterministic_given_order():
     assert np.array_equal(a.hypothesis.weights, b.hypothesis.weights)
 
 
-def test_bias_lift_handles_shifted_threshold():
-    # all-positive coordinates: inseparable through the origin in 1-D
-    points = np.array([[1.0], [2.0], [4.0], [5.0]])
-    labels = np.array([-1, -1, 1, 1])
-    bare = learn_consistent(points, labels, max_updates=200)
-    assert not bare.consistent
-    lifted = learn_consistent(points, labels, add_bias=True)
-    assert lifted.consistent
-    assert lifted.hypothesis.dim == 2
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         learn_consistent(np.empty((0, 2)), np.empty(0))

@@ -10,12 +10,11 @@ from crowdpac.oracles import (
     Adversary,
     CrowdConfig,
     PoolModel,
-    majority,
     next_odd,
     vote_sizes,
 )
 
-from conftest import make_oracle
+from conftest import make_oracle, make_rng
 
 X = np.array([0.7, 0.2])       # truth +1 under weights (1, 0)
 X_LEFT = np.array([-0.3, 0.5])  # truth -1
@@ -24,69 +23,102 @@ X_LEFT = np.array([-0.3, 0.5])  # truth -1
 class TestSingleQueries:
     def test_noiseless_label_always_correct(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 11)
-        assert all(oracle.query_label(X) == 1 for _ in range(200))
-        assert all(oracle.query_label(X_LEFT) == -1 for _ in range(200))
+        assert all(oracle.majority(X[None], 1)[0] == 1 for _ in range(200))
+        assert all(oracle.majority(X_LEFT[None], 1)[0] == -1 for _ in range(200))
 
     def test_label_frequency(self):
         # Bernoulli(0.8) check at alpha = 0.3
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 12)
-        hits = sum(oracle.query_label(X) == 1 for _ in range(100_000))
+        hits = np.count_nonzero(oracle.responses(X[None], 100_000) == 1)
         assert abs(hits / 100_000 - 0.8) <= 0.004
 
     def test_comparison_frequency(self):
         oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 13)
-        hits = sum(oracle.query_comparison(X, X_LEFT) == 1 for _ in range(100_000))
+        hits = np.count_nonzero(oracle.responses(X[None], 100_000, reference=X_LEFT) == 1)
         assert abs(hits / 100_000 - 0.85) <= 0.004
 
     def test_noiseless_comparison(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 14)
-        assert all(oracle.query_comparison(X, X_LEFT) == 1 for _ in range(100))
+        assert all(oracle.majority(X[None], 1, reference=X_LEFT)[0] == 1 for _ in range(100))
 
     def test_each_call_charges_one(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 15)
-        oracle.query_label(X)
+        oracle.majority(X[None], 1)
         assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (1, 0)
-        oracle.query_comparison(X, X_LEFT)
+        oracle.majority(X[None], 1, reference=X_LEFT)
         assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (1, 1)
+
+
+WORKER_MODELS = {
+    "iid": None,
+    "always_wrong": PoolModel(0.9, 0.95, Adversary.ALWAYS_WRONG),
+    "random_flip": PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP),
+}
 
 
 class TestMajorityVotes:
     def test_vote_counting(self):
-        assert majority([1, 1, -1]) == 1
-        assert majority([-1, -1, 1]) == -1
+        # majority and responses share one draw: under every worker model and
+        # for both question kinds, the same seed gives a majority equal to
+        # the sign of the summed responses, and only majority charges
+        questions = make_rng(19).standard_normal((40, 2))
+        for model, pool in WORKER_MODELS.items():
+            for reference in (None, X_LEFT):
+                case = f"{model}, {'label' if reference is None else 'comparison'}"
+                voter = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
+                lister = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
+                sizes = (1, 5, 5)  # repeated batches must stay in step too
+                for k in sizes:
+                    tags = voter.majority(questions, k, reference=reference)
+                    listed = lister.responses(questions, k, reference=reference)
+                    assert listed.shape == (40, k), case
+                    assert np.array_equal(tags, np.sign(listed.sum(axis=1))), case
+                charged = (voter.ledger.label_queries, voter.ledger.comparison_queries)
+                votes = 40 * sum(sizes)
+                assert charged == ((votes, 0) if reference is None else (0, votes)), case
+                listed_charge = (lister.ledger.label_queries, lister.ledger.comparison_queries)
+                assert listed_charge == (0, 0), case
+
+                empty = np.empty((0, 2))
+                assert voter.majority(empty, 3, reference=reference).shape == (0,), case
+                assert lister.responses(empty, 3, reference=reference).shape == (0, 3), case
+                assert (voter.ledger.label_queries, voter.ledger.comparison_queries) == charged
+                with pytest.raises(ValueError):
+                    voter.majority(questions, 4, reference=reference)
 
     def test_even_k_rejected(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 20)
         with pytest.raises(ValueError):
-            oracle.majority_label(X, 4)
+            oracle.majority(X[None], 4)
         with pytest.raises(ValueError):
-            oracle.majority_compare(X, X_LEFT, 2)
+            oracle.majority(X[None], 2, reference=X_LEFT)
 
     def test_k_one_charges_one(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 21)
-        assert oracle.majority_label(X, 1) == 1
+        assert oracle.majority(X[None], 1)[0] == 1
         assert oracle.ledger.label_queries == 1
-        assert oracle.majority_compare(X, X_LEFT, 1) == 1
+        assert oracle.majority(X[None], 1, reference=X_LEFT)[0] == 1
         assert oracle.ledger.comparison_queries == 1
 
     def test_majority_charges_k(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 22)
-        oracle.majority_label(X, 5)
-        oracle.majority_compare(X, X_LEFT, 7)
+        oracle.majority(X[None], 5)
+        oracle.majority(X[None], 7, reference=X_LEFT)
         assert oracle.ledger.label_queries == 5
         assert oracle.ledger.comparison_queries == 7
 
     def test_error_rate_matches_binomial_tail(self):
         # alpha = 0.4 -> per-vote correctness 0.9; k = 5
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 23)
-        wrong = sum(oracle.majority_label(X, 5) != 1 for _ in range(10_000))
+        wrong = np.count_nonzero(oracle.majority(np.tile(X, (10_000, 1)), 5) != 1)
         exact = majority_error_exact(5, 0.9)
         se = math.sqrt(exact * (1 - exact) / 10_000)
         assert abs(wrong / 10_000 - exact) <= 3 * se
 
     def test_comparison_error_rate_matches_binomial_tail(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 24)
-        wrong = sum(oracle.majority_compare(X, X_LEFT, 5) != 1 for _ in range(10_000))
+        tags = oracle.majority(np.tile(X, (10_000, 1)), 5, reference=X_LEFT)
+        wrong = np.count_nonzero(tags != 1)
         exact = majority_error_exact(5, 0.9)
         se = math.sqrt(exact * (1 - exact) / 10_000)
         assert abs(wrong / 10_000 - exact) <= 3 * se
@@ -94,7 +126,7 @@ class TestMajorityVotes:
     def test_batch_matches_scalar_semantics(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 25)
         points = np.array([[0.5, 0.0], [-0.5, 0.0], [2.0, 1.0]])
-        tags = oracle.majority_compare_batch(points, np.array([0.0, 0.0]), 3)
+        tags = oracle.majority(points, 3, reference=np.array([0.0, 0.0]))
         assert np.array_equal(tags, [1, -1, 1])
         assert oracle.ledger.comparison_queries == 9
 
@@ -105,16 +137,16 @@ class TestMajorityVotes:
         expect_labels = expect_comps = 0
         for op in ops:
             if op == "label":
-                oracle.query_label(X)
+                oracle.majority(X[None], 1)
                 expect_labels += 1
             elif op == "compare":
-                oracle.query_comparison(X, X_LEFT)
+                oracle.majority(X[None], 1, reference=X_LEFT)
                 expect_comps += 1
             elif op == "maj3":
-                oracle.majority_label(X, 3)
+                oracle.majority(X[None], 3)
                 expect_labels += 3
             else:
-                oracle.majority_compare(X, X_LEFT, 5)
+                oracle.majority(X[None], 5, reference=X_LEFT)
                 expect_comps += 5
         assert oracle.ledger.label_queries == expect_labels
         assert oracle.ledger.comparison_queries == expect_comps
@@ -171,7 +203,7 @@ class TestPoolModel:
         pool = PoolModel(0.9, 0.95, Adversary.ALWAYS_WRONG)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 30, pool=pool)
         n = 100_000
-        hits = sum(oracle.query_label(X) == 1 for _ in range(n))
+        hits = np.count_nonzero(oracle.responses(X[None], n) == 1)
         sigma = math.sqrt(0.855 * 0.145 / n)
         assert hits / n >= 0.855 - 3 * sigma
 
@@ -179,7 +211,7 @@ class TestPoolModel:
         pool = PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 31, pool=pool)
         n = 50_000
-        hits = sum(oracle.query_label(X) == 1 for _ in range(n))
+        hits = np.count_nonzero(oracle.responses(X[None], n) == 1)
         # effective correctness a*p + (1-a)/2 = 0.905
         assert hits / n >= 0.88
 
