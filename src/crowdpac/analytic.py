@@ -95,6 +95,15 @@ def boosted_majority_error(p: float) -> float:
     return 3.0 * p**2 - 2.0 * p**3
 
 
+def quicksort_expected_tests(m: int) -> float:
+    """Expected pairwise tests of randomized quicksort with uniform pivots on
+    m distinct, correctly compared items: 2(m+1)H_m - 4m."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    harmonic = math.fsum(1.0 / i for i in range(1, m + 1))
+    return 2.0 * (m + 1) * harmonic - 4.0 * m
+
+
 # ---------------------------------------------------------------------------
 # verification suites (surfaced through the CLI `verify` command)
 # ---------------------------------------------------------------------------

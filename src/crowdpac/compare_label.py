@@ -1,8 +1,10 @@
 """Sort-then-threshold labeling from noisy majority-vote queries.
 
-All instances are sorted by randomized quicksort where each pairwise test is
-a k1-vote majority comparison, then the leftmost positive position is found
-by binary search with k2-vote majority labels.  Vote sizes come from
+All instances are sorted by randomized quicksort, run level by level: every
+open segment of a recursion level draws its own pivot and the level's
+pairwise tests, each a k1-vote majority comparison, go to the oracle as one
+batch.  The leftmost positive position is then found by binary search with
+k2-vote majority labels.  Vote sizes come from
 ``oracles.vote_sizes`` so the whole procedure labels everything correctly
 except with probability delta.
 """
@@ -49,35 +51,42 @@ class SortedLabeledSet:
 
 
 def noisy_quicksort(points, k1: int, oracle: CrowdOracle) -> tuple[np.ndarray, int]:
-    """Randomized quicksort under a noisy comparator.
+    """Randomized quicksort under a noisy comparator, one recursion level at a
+    time.
 
-    Pivots are uniform over the current segment, fresh per recursion; each
-    pairwise test is a k1-vote majority comparison (never cached, so repeated
-    tests of the same pair stay independent).  Returns the permutation of row
-    indices in ascending inferred order and the number of pairwise tests.
+    Every open segment of a level draws its own uniform pivot, and the whole
+    level asks its pairwise tests in one batch: each row against its
+    segment's pivot, a fresh k1-vote majority comparison (never cached, so
+    repeated tests of the same pair stay independent).  Each segment is then
+    rearranged in place into left, pivot and right, ties going right; sides
+    of two or more rows are the next level's segments.  Returns the
+    permutation of row indices in ascending inferred order and the number of
+    pairwise tests.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
+    order = np.arange(n, dtype=np.intp)
+    starts = np.zeros(int(n > 1), dtype=np.intp)  # open segments of the level
+    sizes = np.full(len(starts), n, dtype=np.intp)
     n_tests = 0
-    result: list[int] = []
-    stack: list[list[int]] = [list(range(n))]
-    while stack:
-        segment = stack.pop()
-        if len(segment) <= 1:
-            result.extend(segment)
-            continue
-        pivot_at = int(oracle.rng.integers(len(segment)))
-        pivot = segment[pivot_at]
-        others = segment[:pivot_at] + segment[pivot_at + 1 :]
-        tags = oracle.majority(points[others], k1, reference=points[pivot])
-        n_tests += len(others)
-        left = [j for j, tag in zip(others, tags) if tag == -1]
-        right = [j for j, tag in zip(others, tags) if tag != -1]
-        # LIFO order: left segment is fully emitted before pivot and right
-        stack.append(right)
-        stack.append([pivot])
-        stack.append(left)
-    return np.asarray(result, dtype=np.intp), n_tests
+    while len(starts):
+        pivots = starts + oracle.rng.integers(sizes)
+        # every slot of `order` in an open segment, and the segment it is in
+        segment = np.repeat(np.arange(len(starts)), sizes)
+        position = np.arange(len(segment)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        asked = position != pivots[segment]
+        tags = oracle.majority(
+            points[order[position[asked]]], k1, reference=points[order[pivots[segment[asked]]]]
+        )
+        n_tests += len(tags)
+        side = np.ones(len(position), dtype=np.intp)  # 0 left, 1 pivot, 2 right
+        side[asked] = np.where(tags == -1, 0, 2)
+        order[position] = order[position[np.argsort(3 * segment + side, kind="stable")]]
+        n_left = np.bincount(segment[side == 0], minlength=len(starts))
+        starts = np.concatenate([starts, starts + n_left + 1])
+        sizes = np.concatenate([n_left, sizes - n_left - 1])
+        starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+    return order, n_tests
 
 
 def threshold_search(sorted_points, k2: int, oracle: CrowdOracle) -> tuple[int, int]:

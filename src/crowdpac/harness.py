@@ -171,6 +171,7 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     values: dict[str, str] = {}
+    given_at: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -180,7 +181,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if key in given_at:
+            raise ConfigError(f"config key {key!r} given twice (lines {given_at[key]} and {lineno})")
         values[key] = raw
+        given_at[key] = lineno
 
     def take(key: str, default: str) -> str:
         return values.get(key, default)
@@ -342,6 +346,8 @@ def _execute_trial(task) -> ReportRow:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
     """One row per (algorithm, seed), deterministic per seed; flags annotate
     degenerate runs instead of aborting the batch."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if not cfg.seeds:
         raise ConfigError("seeds must be nonempty")
     tasks = [(cfg, algorithm, seed) for algorithm in cfg.algorithms for seed in cfg.seeds]

@@ -150,15 +150,19 @@ class CrowdOracle:
     def _draw(self, points, k: int, reference) -> tuple[np.ndarray, np.ndarray]:
         """Truths of len(points) questions and an (n, k) mask of which fresh
         responses are correct: labels when ``reference`` is None, otherwise
-        comparisons of each row against ``reference``."""
+        comparisons of each row against ``reference``, either one row for
+        every question or one row per question."""
         points = np.asarray(points, dtype=float)
         if reference is None:
             margin = self.config.alpha
         else:
             margin = self.config.beta
             reference = np.asarray(reference, dtype=float)
-            if points.shape[-1:] != reference.shape:
-                raise ValueError("dimension mismatch between questions and reference")
+            if reference.shape not in (points.shape[-1:], points.shape):
+                raise ValueError(
+                    f"reference of shape {reference.shape} fits neither one row nor one "
+                    f"row per question of shape {points.shape}"
+                )
             points = points - reference
         n = len(points)
         truths = self.ground_truth.predict(points)  # checks the dimension
@@ -168,8 +172,8 @@ class CrowdOracle:
 
     def majority(self, points, k: int, reference=None) -> np.ndarray:
         """k-vote majority tag for each row of ``points``: its label, or its
-        comparison against ``reference``.  Charges n*k to the matching
-        counter of the ledger."""
+        comparison against ``reference`` (one row, or one row per question).
+        Charges n*k to the matching counter of the ledger."""
         if k < 1 or k % 2 == 0:
             raise ValueError("majority vote size must be a positive odd count")
         truths, correct = self._draw(points, k, reference)

@@ -8,6 +8,7 @@ from crowdpac.analytic import (
     boosted_majority_error,
     hoeffding_majority_bound,
     majority_error_exact,
+    quicksort_expected_tests,
     ruin_probability,
     run_verification,
     simulate_ruin,
@@ -114,6 +115,14 @@ class TestBoostIdentity:
 
     def test_closed_form_value(self):
         assert boosted_majority_error(0.2) == pytest.approx(0.104)
+
+
+def test_quicksort_expected_tests_small_cases():
+    # m = 3: a middle pivot costs 2 tests, an end pivot 3, so 8/3 on average
+    assert [quicksort_expected_tests(m) for m in (0, 1, 2)] == [0.0, 0.0, 1.0]
+    assert quicksort_expected_tests(3) == pytest.approx(8 / 3)
+    with pytest.raises(ValueError):
+        quicksort_expected_tests(-1)
 
 
 def test_small_verification_grid_passes():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdpac.analytic import quicksort_expected_tests
 from crowdpac.compare_label import (
     SortedLabeledSet,
     compare_and_label,
@@ -40,6 +41,29 @@ class TestNoisyQuicksort:
             _, n_tests = noisy_quicksort(points, 1, oracle)
             counts.append(n_tests)
         assert abs(np.mean(counts) - 8 / 3) <= 0.04
+
+    def test_mean_tests_match_closed_form(self):
+        # noiseless with distinct rows, the test count is that of randomized
+        # quicksort: mean 2(m+1)H_m - 4m, about 10987 at m = 1000
+        m, seeds = 1000, 200
+        points = column_points(make_rng(64).permutation(m))
+        counts = []
+        for seed in range(seeds):
+            oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 65, seed)
+            order, n_tests = noisy_quicksort(points, 1, oracle)
+            assert np.all(np.diff(points[order][:, 0]) > 0)
+            counts.append(n_tests)
+        se = np.std(counts, ddof=1) / math.sqrt(seeds)
+        assert abs(np.mean(counts) - quicksort_expected_tests(m)) <= 3 * se
+
+    def test_identical_rows_ask_every_pair(self):
+        # d = 1 with all rows equal: every test ties and goes right, so each
+        # level splits off only its pivot and the sort asks each pair once
+        m = 60
+        oracle = make_oracle([1.0], 0.5, 0.5, 66)
+        order, n_tests = noisy_quicksort(np.ones((m, 1)), 1, oracle)
+        assert sorted(order.tolist()) == list(range(m))
+        assert n_tests == m * (m - 1) // 2 == oracle.ledger.comparison_queries
 
     @given(st.integers(min_value=1, max_value=40), st.booleans())
     @settings(max_examples=30, deadline=None)

@@ -89,6 +89,11 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=rf"^crowd\.pool\.{key}"):
                 parse_config_text(text + line + "\n")
 
+    def test_repeated_key_rejected(self):
+        text = MINIMAL + "epsilon = 0.3\n"  # MINIMAL sets epsilon on line 3
+        with pytest.raises(ConfigError, match=r"'epsilon' given twice \(lines 3 and 7\)"):
+            parse_config_text(text)
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL)
@@ -115,6 +120,11 @@ class TestRunExperiment:
         cfg = parse_config_text(MINIMAL.replace("seeds = 0:2", "seeds = none"))
         with pytest.raises(ConfigError, match="seeds"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=rf"jobs must be at least 1, got {jobs}"):
+            run_experiment(parse_config_text(SMALL), jobs=jobs)
 
     def test_rows_reproducible(self):
         cfg = parse_config_text(SMALL)
@@ -247,6 +257,14 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "crowd.alpha" in capsys.readouterr().err
+
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--jobs", "0"])
+        assert code == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")])

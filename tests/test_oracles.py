@@ -59,12 +59,15 @@ WORKER_MODELS = {
 class TestMajorityVotes:
     def test_vote_counting(self):
         # majority and responses share one draw: under every worker model and
-        # for both question kinds, the same seed gives a majority equal to
-        # the sign of the summed responses, and only majority charges
+        # for labels, comparisons against one row and comparisons against one
+        # row per question, the same seed gives a majority equal to the sign
+        # of the summed responses, and only majority charges
         questions = make_rng(19).standard_normal((40, 2))
+        per_row = make_rng(19, 1).standard_normal((40, 2))
         for model, pool in WORKER_MODELS.items():
-            for reference in (None, X_LEFT):
-                case = f"{model}, {'label' if reference is None else 'comparison'}"
+            for reference in (None, X_LEFT, per_row):
+                kind = "label" if reference is None else f"comparison to {reference.shape}"
+                case = f"{model}, {kind}"
                 voter = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
                 lister = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
                 sizes = (1, 5, 5)  # repeated batches must stay in step too
@@ -80,11 +83,24 @@ class TestMajorityVotes:
                 assert listed_charge == (0, 0), case
 
                 empty = np.empty((0, 2))
-                assert voter.majority(empty, 3, reference=reference).shape == (0,), case
-                assert lister.responses(empty, 3, reference=reference).shape == (0, 3), case
+                no_rows = reference[:0] if reference is per_row else reference
+                assert voter.majority(empty, 3, reference=no_rows).shape == (0,), case
+                assert lister.responses(empty, 3, reference=no_rows).shape == (0, 3), case
                 assert (voter.ledger.label_queries, voter.ledger.comparison_queries) == charged
                 with pytest.raises(ValueError):
                     voter.majority(questions, 4, reference=reference)
+
+    def test_reference_shape_checked(self):
+        # a reference is one row of the questions' width or exactly one row
+        # per question; any other shape raises before anything is charged
+        oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 27)
+        questions = make_rng(27).standard_normal((5, 2))
+        bad = [np.zeros(shape) for shape in ((4, 2), (6, 2), (1, 2), (5, 3), (3,), (1, 5, 2))]
+        for reference in bad:
+            for ask in (oracle.majority, oracle.responses):
+                with pytest.raises(ValueError):
+                    ask(questions, 3, reference=reference)
+        assert oracle.ledger.comparison_queries == 0
 
     def test_even_k_rejected(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 20)
@@ -129,6 +145,10 @@ class TestMajorityVotes:
         tags = oracle.majority(points, 3, reference=np.array([0.0, 0.0]))
         assert np.array_equal(tags, [1, -1, 1])
         assert oracle.ledger.comparison_queries == 9
+        # one reference row per question: row i is compared with row i only
+        tags = oracle.majority(points, 3, reference=points[::-1])
+        assert np.array_equal(tags, [-1, 1, 1])  # the middle pair ties
+        assert oracle.ledger.comparison_queries == 18
 
     @given(st.lists(st.sampled_from(["label", "compare", "maj3", "maj5c"]), max_size=30))
     @settings(max_examples=40, deadline=None)
