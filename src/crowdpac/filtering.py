@@ -152,45 +152,48 @@ def _walk_verdicts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized running-majority walk for a batch of instances.
 
-    Worker responses are pre-drawn for all rounds and each instance consumes
-    a prefix up to its break round; the ledger is charged exactly for the
-    consumed prefix (one comparison per present support side per round).
+    The walk moves from odd round to odd round, drawing for each present
+    support side one vote in round 1 and two more before every later odd
+    round, and only for instances that have not yet broken off.  An
+    instance breaks at the first odd round where its running majorities
+    place it inside the support interval (INSIDE) or agree with the
+    hypothesis on its side (AGREE); one that never breaks is a
+    MISTAKE after all ``walk_length`` rounds.  The ledger is charged for the
+    votes drawn: one comparison per present support side per round used.
     Returns (verdict codes, rounds consumed per instance).
     """
-    if support.below is None and support.above is None:
+    sides = [(ref, side) for ref, side in ((support.below, 1), (support.above, -1))
+             if ref is not None]
+    if not sides:
         raise ValueError("interval test needs at least one support instance")
     if walk_length < 1 or walk_length % 2 == 0:
         raise ValueError("walk length must be a positive odd count")
     n = len(points)
-    if n == 0:
-        return np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64)
-
-    odd_cols = np.arange(0, walk_length, 2)  # odd rounds t=1,3,... (0-based)
-    inside = np.ones((n, odd_cols.size), dtype=bool)
-    agree = np.zeros((n, odd_cols.size), dtype=bool)
-    sides = 0
-    if support.below is not None:
-        sides += 1
-        sums = oracle.responses(points, walk_length, reference=support.below).cumsum(axis=1)
-        at_odd = sums[:, odd_cols]
-        inside &= at_odd > 0
-        agree |= (at_odd < 0) & (h_labels == -1)[:, None]
-    if support.above is not None:
-        sides += 1
-        sums = oracle.responses(points, walk_length, reference=support.above).cumsum(axis=1)
-        at_odd = sums[:, odd_cols]
-        inside &= at_odd < 0
-        agree |= (at_odd > 0) & (h_labels == 1)[:, None]
-
-    fired = inside | agree
-    any_fired = fired.any(axis=1)
-    first = np.argmax(fired, axis=1)
-    rows = np.arange(n)
     verdicts = np.full(n, _MISTAKE, dtype=np.int8)
-    verdicts[any_fired & inside[rows, first]] = _INSIDE
-    verdicts[any_fired & ~inside[rows, first]] = _AGREE
-    rounds_used = np.where(any_fired, odd_cols[first] + 1, walk_length)
-    oracle.ledger.charge_comparisons(int(rounds_used.sum()) * sides)
+    rounds_used = np.full(n, walk_length, dtype=np.int64)
+    live = np.arange(n)
+    live_labels = np.asarray(h_labels)
+    # running tag sums per side times its sign (+1 below, -1 above), so that
+    # a positive entry is a majority pointing into the support interval
+    sums = np.zeros((len(sides), n), dtype=np.int64)
+    for t in range(1, walk_length + 1, 2):
+        if not live.size:
+            break
+        live_points = points[live]
+        for row, (ref, side) in enumerate(sides):
+            sums[row] += side * oracle.tally(live_points, 1 if t == 1 else 2, reference=ref)
+        inside = (sums > 0).all(axis=0)
+        agree = np.zeros(live.size, dtype=bool)
+        for row, (_, side) in enumerate(sides):
+            agree |= (sums[row] < 0) & (live_labels == -side)
+        # never both: inside needs every signed sum > 0, agree one below 0
+        fired = inside | agree
+        verdicts[live[inside]] = _INSIDE
+        verdicts[live[agree]] = _AGREE
+        rounds_used[live[fired]] = t
+        walking = ~fired
+        live, live_labels, sums = live[walking], live_labels[walking], sums[:, walking]
+    oracle.ledger.charge_comparisons(int(rounds_used.sum()) * len(sides))
     return verdicts, rounds_used
 
 

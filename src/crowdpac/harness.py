@@ -40,6 +40,16 @@ class ConfigError(ValueError):
     """Configuration problem; the message names the offending field."""
 
 
+def _first_repeat(values):
+    """The first value that already occurred earlier in ``values``, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
@@ -55,6 +65,11 @@ class ExperimentConfig:
             raise ConfigError("holdout_size must be at least 1000")
         if self.algorithm not in ("boost", "natural", "both"):
             raise ConfigError("algorithm must be boost, natural or both")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
+        repeated = _first_repeat(self.seeds)
+        if repeated is not None:
+            raise ConfigError(f"seeds: {repeated} given more than once")
 
     @property
     def algorithms(self) -> tuple[str, ...]:
@@ -418,6 +433,9 @@ def sweep(cfg: ExperimentConfig, epsilons, jobs: int = 1) -> list[ReportRow]:
     for eps in epsilons:
         if not (0.0 < eps < 1.0):
             raise ConfigError(f"epsilons: {eps} outside (0, 1)")
+    repeated = _first_repeat(epsilons)
+    if repeated is not None:
+        raise ConfigError(f"epsilons: {repeated} given more than once")
     details: list[ReportRow] = []
     summaries: list[ReportRow] = []
     for eps in epsilons:

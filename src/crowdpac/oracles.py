@@ -1,13 +1,17 @@
 """Noisy crowd oracles for labels and pairwise comparisons.
 
 Every response is correct with probability at least 1/2 + margin (alpha for
-labels, beta for comparisons).  Workers are memoryless: repeated queries on
-the same instance or pair are independent.  ``CrowdOracle`` answers batches
-of questions two ways: ``majority`` returns one k-vote majority tag per
-question and charges its k votes to the ``QueryLedger`` (``label_queries``
-for labels, ``comparison_queries`` for comparisons); ``responses`` returns
-the individual tags and charges nothing, leaving the caller to charge the
-votes it actually consumes.
+labels, beta for comparisons).  Workers are memoryless and each vote comes
+from a freshly drawn worker, so the k votes on one question are independent
+and the number of correct ones is Binomial(k, q) for the crowd's per-vote
+accuracy q.  The simulator draws that count, one draw per question, never
+the individual votes.
+
+``CrowdOracle`` answers batches of questions two ways: ``majority`` returns
+one k-vote majority tag per question and charges its k votes to the
+``QueryLedger`` (``label_queries`` for labels, ``comparison_queries`` for
+comparisons); ``tally`` returns each question's sum of its k ±1 tags and
+charges nothing, leaving the caller to charge the votes it actually reads.
 """
 
 from __future__ import annotations
@@ -42,6 +46,15 @@ class PoolModel:
             raise ValueError("pool.reliable_fraction must lie in (0, 1]")
         if not (0.5 < self.reliable_accuracy <= 1.0):
             raise ValueError("pool.reliable_accuracy must lie in (1/2, 1]")
+
+    @property
+    def vote_accuracy(self) -> float:
+        """Probability that one vote, from a freshly drawn worker, is correct."""
+        adversary = 0.5 if self.adversary is Adversary.RANDOM_FLIP else 0.0
+        return (
+            self.reliable_fraction * self.reliable_accuracy
+            + (1.0 - self.reliable_fraction) * adversary
+        )
 
 
 @dataclass(frozen=True)
@@ -134,24 +147,11 @@ class CrowdOracle:
 
     # -- response model -----------------------------------------------------
 
-    def _correct(self, margin: float, n: int) -> np.ndarray:
-        """Boolean array: which of n fresh responses are correct."""
-        pool = self.config.pool
-        if pool is None:
-            return self.rng.random(n) < 0.5 + margin
-        reliable = self.rng.random(n) < pool.reliable_fraction
-        correct = self.rng.random(n) < pool.reliable_accuracy
-        if pool.adversary is Adversary.ALWAYS_WRONG:
-            adv = np.zeros(n, dtype=bool)
-        else:
-            adv = self.rng.random(n) < 0.5
-        return np.where(reliable, correct, adv)
-
     def _draw(self, points, k: int, reference) -> tuple[np.ndarray, np.ndarray]:
-        """Truths of len(points) questions and an (n, k) mask of which fresh
-        responses are correct: labels when ``reference`` is None, otherwise
-        comparisons of each row against ``reference``, either one row for
-        every question or one row per question."""
+        """Truths of len(points) questions and how many of each question's k
+        fresh responses are correct: labels when ``reference`` is None,
+        otherwise comparisons of each row against ``reference``, either one
+        row for every question or one row per question."""
         points = np.asarray(points, dtype=float)
         if reference is None:
             margin = self.config.alpha
@@ -164,9 +164,10 @@ class CrowdOracle:
                     f"row per question of shape {points.shape}"
                 )
             points = points - reference
-        n = len(points)
         truths = self.ground_truth.predict(points)  # checks the dimension
-        return truths, self._correct(margin, n * k).reshape(n, k)
+        pool = self.config.pool
+        accuracy = 0.5 + margin if pool is None else pool.vote_accuracy
+        return truths, self.rng.binomial(k, accuracy, len(points))
 
     # -- answering ------------------------------------------------------------
 
@@ -178,18 +179,17 @@ class CrowdOracle:
             raise ValueError("majority vote size must be a positive odd count")
         truths, correct = self._draw(points, k, reference)
         if reference is None:
-            self.ledger.charge_labels(correct.size)
+            self.ledger.charge_labels(truths.size * k)
         else:
-            self.ledger.charge_comparisons(correct.size)
-        return np.where(2 * correct.sum(axis=1) > k, truths, -truths)
+            self.ledger.charge_comparisons(truths.size * k)
+        return np.where(2 * correct > k, truths, -truths)
 
-    def responses(self, points, k: int, reference=None) -> np.ndarray:
-        """(n, k) matrix of individual response tags, questions as in
-        ``majority``.
+    def tally(self, points, k: int, reference=None) -> np.ndarray:
+        """Sum of k fresh ±1 response tags for each question, questions as
+        in ``majority``; its sign is the k-vote majority when k is odd.
 
         Does NOT charge the ledger: callers running sequential early-stopping
-        tests consume a prefix of each row and must charge exactly the
-        consumed count.
+        tests draw votes in steps and must charge exactly the votes they read.
         """
         truths, correct = self._draw(points, k, reference)
-        return np.where(correct, truths[:, None], -truths[:, None])
+        return truths * (2 * correct - k)

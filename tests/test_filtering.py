@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from crowdpac.filtering import (
     FilterConfig,
     SupportPair,
     Verdict,
+    _MISTAKE,
+    _VERDICTS,
+    _walk_verdicts,
     default_walk_length,
     filter_mistakes,
     interval_test,
@@ -118,6 +122,62 @@ class TestIntervalTest:
         )
         assert as_mistake / reps >= 0.5
         assert as_false_alarm / reps <= 0.1
+
+
+def exact_walk(q, walk_length, h_label):
+    """Exact verdict shares, and mean and standard deviation of the rounds
+    used, of the walk of OUTSIDE_LEFT against SUPPORT.
+
+    Dynamic program over the two running tag sums (against ``below`` and
+    ``above``), one vote per side per round, checked at odd rounds.  Both
+    true comparisons are -1, so a correct vote adds -1 to its sum.
+    """
+    tag_odds = ((-1, q), (1, 1 - q))
+    walking = {(0, 0): 1.0}
+    shares = dict.fromkeys(Verdict, 0.0)
+    rounds = defaultdict(float)  # round -> probability of ending there
+    for t in range(1, walk_length + 1):
+        step = defaultdict(float)
+        for (below, above), p in walking.items():
+            for tag_b, p_b in tag_odds:
+                for tag_a, p_a in tag_odds:
+                    step[below + tag_b, above + tag_a] += p * p_b * p_a
+        walking = step
+        if t % 2 == 0:
+            continue
+        for below, above in list(walking):
+            inside = below > 0 and above < 0
+            agree = (below < 0 and h_label == -1) or (above > 0 and h_label == 1)
+            if inside or agree:
+                p = walking.pop((below, above))
+                shares[Verdict.INSIDE if inside else Verdict.AGREE] += p
+                rounds[t] += p
+    shares[Verdict.MISTAKE] = sum(walking.values())
+    rounds[walk_length] += shares[Verdict.MISTAKE]
+    mean = sum(t * p for t, p in rounds.items())
+    sd = math.sqrt(sum((t - mean) ** 2 * p for t, p in rounds.items()))
+    return shares, mean, sd
+
+
+class TestWalkDistribution:
+    @pytest.mark.parametrize("h_label", [1, -1])
+    def test_walk_matches_exact_distribution(self, h_label):
+        # the walk draws one vote per side in round 1 and two before each
+        # later odd round; exact_walk adds one vote per round
+        n, walk = 40_000, 19
+        oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 108, h_label + 1)
+        codes, rounds = _walk_verdicts(
+            np.tile(OUTSIDE_LEFT, (n, 1)), SUPPORT, np.full(n, h_label), walk, oracle
+        )
+        shares, mean_rounds, sd_rounds = exact_walk(0.85, walk, h_label)
+        assert math.isclose(sum(shares.values()), 1.0)
+        for code, verdict in _VERDICTS.items():
+            p = shares[verdict]
+            se = math.sqrt(p * (1 - p) / n)
+            assert abs(np.count_nonzero(codes == code) / n - p) <= 4 * se, verdict
+        assert abs(rounds.mean() - mean_rounds) <= 4 * sd_rounds / math.sqrt(n)
+        assert np.all(rounds % 2 == 1) and np.all(rounds[codes == _MISTAKE] == walk)
+        assert oracle.ledger.comparison_queries == 2 * int(rounds.sum())
 
 
 class TestDefaultWalkLength:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"'epsilon' given twice \(lines 3 and 7\)"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("seeds, repeated", [("3,3", 3), ("1, 4, 2, 4", 4)])
+    def test_repeated_seed_rejected(self, seeds, repeated):
+        # a repeated seed would run the same trial twice and count it twice
+        # in a sweep summary
+        message = rf"^seeds: {repeated} given more than once"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(MINIMAL.replace("seeds = 0:2", f"seeds = {seeds}"))
+        with pytest.raises(ConfigError, match=message):
+            replace(parse_config_text(MINIMAL), seeds=(repeated, 0, repeated))
+
+    @pytest.mark.parametrize("seeds", ["-1", "2,-5", "-3:2"])
+    def test_negative_seed_rejected(self, seeds):
+        # -1 marks summary rows, and SeedSequence rejects negative entropy
+        with pytest.raises(ConfigError, match=r"^seeds must be non-negative"):
+            parse_config_text(MINIMAL.replace("seeds = 0:2", f"seeds = {seeds}"))
+        with pytest.raises(ConfigError, match=r"^seeds must be non-negative"):
+            replace(parse_config_text(MINIMAL), seeds=(0, -1))
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL)
@@ -174,6 +193,11 @@ class TestSweep:
             sweep(cfg, [])
         with pytest.raises(ConfigError):
             sweep(cfg, [1.5])
+
+    def test_repeated_epsilon_rejected(self):
+        cfg = parse_config_text(SMALL)
+        with pytest.raises(ConfigError, match=r"^epsilons: 0\.2 given more than once"):
+            sweep(cfg, [0.2, 0.1, 0.2])
 
 
 class TestReportFormats:
@@ -265,6 +289,23 @@ class TestCli:
         assert code == 1
         assert "jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["run", "--seed-list", "3,3"], "seeds: 3 given more than once"),
+            (["run", "--seed-list=-1"], "seeds must be non-negative, got -1"),
+            (["sweep", "--epsilons", "0.2,0.2"], "epsilons: 0.2 given more than once"),
+        ],
+    )
+    def test_repeated_or_negative_values_exit_code(self, tmp_path, capsys, flags, message):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL)
+        out_dir = tmp_path / "x"
+        code = main([flags[0], "--config", str(cfg_path), "--out", str(out_dir), *flags[1:]])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")])

@@ -29,12 +29,12 @@ class TestSingleQueries:
     def test_label_frequency(self):
         # Bernoulli(0.8) check at alpha = 0.3
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 12)
-        hits = np.count_nonzero(oracle.responses(X[None], 100_000) == 1)
+        hits = (oracle.tally(X[None], 100_000)[0] + 100_000) // 2
         assert abs(hits / 100_000 - 0.8) <= 0.004
 
     def test_comparison_frequency(self):
         oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 13)
-        hits = np.count_nonzero(oracle.responses(X[None], 100_000, reference=X_LEFT) == 1)
+        hits = (oracle.tally(X[None], 100_000, reference=X_LEFT)[0] + 100_000) // 2
         assert abs(hits / 100_000 - 0.85) <= 0.004
 
     def test_noiseless_comparison(self):
@@ -58,10 +58,10 @@ WORKER_MODELS = {
 
 class TestMajorityVotes:
     def test_vote_counting(self):
-        # majority and responses share one draw: under every worker model and
+        # majority and tally share one draw: under every worker model and
         # for labels, comparisons against one row and comparisons against one
         # row per question, the same seed gives a majority equal to the sign
-        # of the summed responses, and only majority charges
+        # of the tally, and only majority charges
         questions = make_rng(19).standard_normal((40, 2))
         per_row = make_rng(19, 1).standard_normal((40, 2))
         for model, pool in WORKER_MODELS.items():
@@ -73,9 +73,9 @@ class TestMajorityVotes:
                 sizes = (1, 5, 5)  # repeated batches must stay in step too
                 for k in sizes:
                     tags = voter.majority(questions, k, reference=reference)
-                    listed = lister.responses(questions, k, reference=reference)
-                    assert listed.shape == (40, k), case
-                    assert np.array_equal(tags, np.sign(listed.sum(axis=1))), case
+                    listed = lister.tally(questions, k, reference=reference)
+                    assert listed.shape == (40,), case
+                    assert np.array_equal(tags, np.sign(listed)), case
                 charged = (voter.ledger.label_queries, voter.ledger.comparison_queries)
                 votes = 40 * sum(sizes)
                 assert charged == ((votes, 0) if reference is None else (0, votes)), case
@@ -85,7 +85,7 @@ class TestMajorityVotes:
                 empty = np.empty((0, 2))
                 no_rows = reference[:0] if reference is per_row else reference
                 assert voter.majority(empty, 3, reference=no_rows).shape == (0,), case
-                assert lister.responses(empty, 3, reference=no_rows).shape == (0, 3), case
+                assert lister.tally(empty, 3, reference=no_rows).shape == (0,), case
                 assert (voter.ledger.label_queries, voter.ledger.comparison_queries) == charged
                 with pytest.raises(ValueError):
                     voter.majority(questions, 4, reference=reference)
@@ -97,7 +97,7 @@ class TestMajorityVotes:
         questions = make_rng(27).standard_normal((5, 2))
         bad = [np.zeros(shape) for shape in ((4, 2), (6, 2), (1, 2), (5, 3), (3,), (1, 5, 2))]
         for reference in bad:
-            for ask in (oracle.majority, oracle.responses):
+            for ask in (oracle.majority, oracle.tally):
                 with pytest.raises(ValueError):
                     ask(questions, 3, reference=reference)
         assert oracle.ledger.comparison_queries == 0
@@ -223,7 +223,7 @@ class TestPoolModel:
         pool = PoolModel(0.9, 0.95, Adversary.ALWAYS_WRONG)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 30, pool=pool)
         n = 100_000
-        hits = np.count_nonzero(oracle.responses(X[None], n) == 1)
+        hits = (oracle.tally(X[None], n)[0] + n) // 2
         sigma = math.sqrt(0.855 * 0.145 / n)
         assert hits / n >= 0.855 - 3 * sigma
 
@@ -231,9 +231,25 @@ class TestPoolModel:
         pool = PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 31, pool=pool)
         n = 50_000
-        hits = np.count_nonzero(oracle.responses(X[None], n) == 1)
+        hits = (oracle.tally(X[None], n)[0] + n) // 2
         # effective correctness a*p + (1-a)/2 = 0.905
         assert hits / n >= 0.88
+
+    @pytest.mark.parametrize(
+        "adversary, effective",
+        [(Adversary.ALWAYS_WRONG, 0.855), (Adversary.RANDOM_FLIP, 0.905)],
+    )
+    def test_majority_error_matches_effective_accuracy(self, adversary, effective):
+        # every vote comes from a freshly drawn worker, so a k-vote majority
+        # errs like one over i.i.d. votes of accuracy a*p + (1-a)*(0 or 1/2)
+        pool = PoolModel(0.9, 0.95, adversary)
+        oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 32, pool=pool)
+        n, k = 40_000, 5
+        exact = majority_error_exact(k, effective)
+        se = math.sqrt(exact * (1 - exact) / n)
+        for reference in (None, X_LEFT):
+            wrong = np.count_nonzero(oracle.majority(np.tile(X, (n, 1)), k, reference=reference) != 1)
+            assert abs(wrong / n - exact) <= 3 * se, reference
 
     def test_pool_field_validation(self):
         with pytest.raises(ValueError):
