@@ -11,10 +11,8 @@ from .filtering import (
     FilterConfig,
     FilterOutcome,
     SupportPair,
-    Verdict,
     default_walk_length,
     filter_mistakes,
-    interval_test,
     pick_support,
 )
 from .geometry import (

@@ -17,6 +17,7 @@ from .harness import (
     ExperimentConfig,
     dump_config,
     load_config,
+    override,
     run_experiment,
     sweep,
     write_report,
@@ -38,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the configured algorithm")
         p.add_argument("--seeds", type=int,
                        help="run seeds 0..N-1, overriding the config")
-        p.add_argument("--seed-list", help="comma-separated seeds, overriding the config")
+        p.add_argument("--seed-list",
+                       help='seeds as in a config file ("3,5,8" or "0:10"), overriding the config')
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     run_p = sub.add_parser("run", help="run one experiment batch")
@@ -59,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed_list:
-        seeds = tuple(int(part) for part in args.seed_list.split(",") if part.strip())
-        cfg = replace(cfg, seeds=seeds)
+        cfg = override(cfg, seeds=args.seed_list)
     elif args.seeds is not None:
         cfg = replace(cfg, seeds=tuple(range(args.seeds)))
     if args.algorithm:
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             rows = run_experiment(cfg, jobs=args.jobs)
         else:
-            epsilons = [float(part) for part in args.epsilons.split(",") if part.strip()]
+            epsilons = [part for part in args.epsilons.split(",") if part.strip()]
             rows = sweep(cfg, epsilons, jobs=args.jobs)
         path = write_report(rows, args.out, cfg)
         print(f"wrote {len(rows)} rows to {path}")

@@ -11,7 +11,6 @@ break is a suspected mistake.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -22,15 +21,8 @@ from .geometry import Halfspace
 from .oracles import CrowdOracle
 
 
-class Verdict(enum.Enum):
-    INSIDE = "inside"
-    AGREE = "agree"
-    MISTAKE = "mistake"
-
-
-# integer codes used by the vectorized walk
+# verdict codes of the walk
 _INSIDE, _AGREE, _MISTAKE = 0, 1, 2
-_VERDICTS = {_INSIDE: Verdict.INSIDE, _AGREE: Verdict.AGREE, _MISTAKE: Verdict.MISTAKE}
 
 
 @dataclass(frozen=True)
@@ -60,8 +52,8 @@ class FilterConfig:
     early_stop_target: int | None = None
 
     def __post_init__(self):
-        if self.subsample_constant <= 0:
-            raise ValueError("filter.subsample_constant must be positive")
+        if not (math.isfinite(self.subsample_constant) and self.subsample_constant > 0):
+            raise ValueError("filter.subsample_constant must be positive and finite")
         if self.walk_length is not None and (
             self.walk_length < 1 or self.walk_length % 2 == 0
         ):
@@ -195,28 +187,6 @@ def _walk_verdicts(
         live, live_labels, sums = live[walking], live_labels[walking], sums[:, walking]
     oracle.ledger.charge_comparisons(int(rounds_used.sum()) * len(sides))
     return verdicts, rounds_used
-
-
-def interval_test(
-    x,
-    support: SupportPair,
-    h_label: int,
-    walk_length: int,
-    oracle: CrowdOracle,
-) -> Verdict:
-    """Running-majority walk for a single instance.
-
-    At each odd round the majorities of the comparison tags gathered so far
-    are checked: both pointing into the support interval ends the test as
-    INSIDE; the majority matching the hypothesis label on its side ends it as
-    AGREE; surviving all rounds without a break is a MISTAKE.  An absent
-    support side drops its clauses.
-    """
-    points = np.asarray(x, dtype=float)[None, :]
-    codes, _ = _walk_verdicts(
-        points, support, np.asarray([h_label]), walk_length, oracle
-    )
-    return _VERDICTS[int(codes[0])]
 
 
 def filter_mistakes(

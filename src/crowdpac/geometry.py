@@ -82,8 +82,8 @@ class ProblemConfig:
             raise ValueError("problem.target_error must lie in (0, 1)")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("problem.confidence must lie in (0, 1)")
-        if not self.vc_constant > 0.0:
-            raise ValueError("problem.vc_constant must be positive")
+        if not (math.isfinite(self.vc_constant) and self.vc_constant > 0.0):
+            raise ValueError("problem.vc_constant must be positive and finite")
 
 
 def sample_instances(cfg: ProblemConfig, n: int, rng: np.random.Generator) -> np.ndarray:

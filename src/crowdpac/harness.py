@@ -1,10 +1,13 @@
 """Experiment configuration, seeded batch execution, sweeps, and reports.
 
-Configs are flat `key = value` text files (`#` comments allowed); every
-omitted key takes its default and the effective config can be dumped back
-out, re-read, and compared for provenance.  Each (algorithm, seed) pair runs
-on its own random stream, so results are reproducible row by row and adding
-seeds never changes existing rows.  Reports are CSV by default, JSON when
+Configs are flat `key = value` text files (`#` comments allowed).  Every
+key lives in one table, ``_CONFIG_KEYS``: its name, the dotted field it sets,
+its parser and the word that stands for None.  Parsing, dumping and the
+error messages all read that table; an omitted key takes the dataclass
+default, and the effective config can be dumped back out, re-read, and
+compared for provenance.  Each (algorithm, seed) pair runs on its own random
+stream, so results are reproducible row by row and adding seeds never
+changes existing rows.  Reports are CSV by default, JSON when
 the output path ends in ``.json``; floats are rendered with 9 significant
 digits and summary statistics are computed from the rendered values so they
 can be re-derived bit-exactly from the emitted file.
@@ -12,11 +15,15 @@ can be re-derived bit-exactly from the emitted file.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,14 +31,6 @@ from .filtering import FilterConfig
 from .geometry import Distribution, ProblemConfig
 from .oracles import Adversary, CrowdConfig, PoolModel
 from .pipeline import PipelineConstants, RunReport, run_boost, run_natural
-
-CSV_COLUMNS = (
-    "algorithm", "seed", "d", "epsilon", "delta", "alpha", "beta",
-    "m_eps", "m_L", "m_C", "lambda_L", "lambda_C", "holdout_error",
-    "p1_labels", "p1_comps", "p2_labels", "p2_comps", "p3_labels", "p3_comps",
-    "flags", "wall_clock_ms",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 SUMMARY_SEED = -1
 
@@ -78,6 +77,8 @@ class ExperimentConfig:
 
 @dataclass
 class ReportRow:
+    """One report line; its fields, in order, are the CSV columns."""
+
     algorithm: str
     seed: int
     d: int
@@ -104,6 +105,15 @@ class ReportRow:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+CSV_HEADER = ",".join(CSV_COLUMNS)
+# the per-seed outcomes, which a sweep's summary row averages over its cell
+_AVERAGED = (
+    "m_L", "m_C", "lambda_L", "lambda_C", "holdout_error", "p1_labels", "p1_comps",
+    "p2_labels", "p2_comps", "p3_labels", "p3_comps", "wall_clock_ms",
+)
+
+
 def format_value(value) -> str:
     if isinstance(value, tuple):
         return ";".join(value)
@@ -127,8 +137,10 @@ def rendered_float(value: float) -> float:
 
 def row_from_report(report: RunReport, cfg: ExperimentConfig) -> ReportRow:
     phases = list(report.phase_reports) + [None, None, None]
-    labels = [p.labels_used if p else 0 for p in phases[:3]]
-    comps = [p.comparisons_used if p else 0 for p in phases[:3]]
+    per_phase = {}
+    for i, phase in enumerate(phases[:3], start=1):
+        per_phase[f"p{i}_labels"] = phase.labels_used if phase else 0
+        per_phase[f"p{i}_comps"] = phase.comparisons_used if phase else 0
     return ReportRow(
         algorithm=report.algorithm,
         seed=report.seed,
@@ -143,12 +155,7 @@ def row_from_report(report: RunReport, cfg: ExperimentConfig) -> ReportRow:
         lambda_L=report.labeling_overhead,
         lambda_C=report.comparison_overhead,
         holdout_error=report.holdout_error,
-        p1_labels=labels[0],
-        p1_comps=comps[0],
-        p2_labels=labels[1],
-        p2_comps=comps[1],
-        p3_labels=labels[2],
-        p3_comps=comps[2],
+        **per_phase,
         flags=tuple(report.flags),
         wall_clock_ms=report.wall_clock_ms,
     )
@@ -158,144 +165,111 @@ def row_from_report(report: RunReport, cfg: ExperimentConfig) -> ReportRow:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "d", "epsilon", "delta", "vc_constant", "distribution",
-    "alpha", "beta", "worker_model", "reliable_fraction", "reliable_accuracy",
-    "adversary", "c2", "c_w", "c_b", "r_max_factor", "learner_solver",
-    "walk_length", "per_round_confidence", "early_stop_target",
-    "seeds", "holdout_size", "algorithm",
-)
 
-
-def _parse_scalar(raw: str, kind, fieldname: str):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{fieldname}: cannot parse {raw!r}") from exc
+class _Key(NamedTuple):
+    name: str  # as written in the config file
+    field: str  # dotted field of ExperimentConfig
+    parse: Callable[[str], object]
+    none: str | None = None  # how None is written, for fields that may be None
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw or raw == "none":
+    if raw in ("", "none"):
         return ()
     if ":" in raw:
         lo, hi = raw.split(":", 1)
-        return tuple(range(_parse_scalar(lo, int, "seeds"), _parse_scalar(hi, int, "seeds")))
-    return tuple(_parse_scalar(part.strip(), int, "seeds") for part in raw.split(",") if part.strip())
+        return tuple(range(int(lo), int(hi)))
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _parse_worker_model(raw: str) -> str:
+    if raw not in ("iid", "pool"):
+        raise ValueError(raw)
+    return raw
+
+
+# Every config key, in the order dump_config writes them; worker_model comes
+# before the crowd.pool keys it enables.  Omitted keys take the dataclass
+# defaults.
+_CONFIG_KEYS = (
+    _Key("d", "problem.dimension", int),
+    _Key("epsilon", "problem.target_error", float),
+    _Key("delta", "problem.confidence", float),
+    _Key("vc_constant", "problem.vc_constant", float),
+    _Key("distribution", "problem.distribution", Distribution),
+    _Key("alpha", "crowd.alpha", float),
+    _Key("beta", "crowd.beta", float),
+    _Key("worker_model", "crowd.worker_model", _parse_worker_model),
+    _Key("reliable_fraction", "crowd.pool.reliable_fraction", float),
+    _Key("reliable_accuracy", "crowd.pool.reliable_accuracy", float),
+    _Key("adversary", "crowd.pool.adversary", Adversary),
+    _Key("c2", "constants.phase2_sample_factor", float),
+    _Key("c_w", "constants.mixture_size_factor", float),
+    _Key("c_b", "filter.subsample_constant", float),
+    _Key("r_max_factor", "constants.rejection_budget_factor", float),
+    _Key("learner_solver", "constants.learner_solver", str),
+    _Key("walk_length", "filter.walk_length", int, none="auto"),
+    _Key("per_round_confidence", "filter.per_round_confidence", float, none="auto"),
+    _Key("early_stop_target", "filter.early_stop_target", int, none="none"),
+    _Key("seeds", "seeds", _parse_seeds),
+    _Key("holdout_size", "holdout_size", int),
+    _Key("algorithm", "algorithm", str),
+)
+
+
+def _parse(raw: str, kind, name: str):
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
+
+
+def _read(key: _Key, raw: str):
+    if key.none is not None and raw in ("", "auto", "none"):
+        return None
+    return _parse(raw, key.parse, key.field)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    values: dict[str, str] = {}
-    given_at: dict[str, int] = {}
+    names = {key.name for key in _CONFIG_KEYS}
+    given: dict[str, tuple[str, int]] = {}  # key -> (raw value, line number)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-        if key in given_at:
-            raise ConfigError(f"config key {key!r} given twice (lines {given_at[key]} and {lineno})")
-        values[key] = raw
-        given_at[key] = lineno
+        name, raw = (part.strip() for part in line.split("=", 1))
+        if name not in names:
+            raise ConfigError(f"unknown config key {name!r} (line {lineno})")
+        if name in given:
+            raise ConfigError(f"config key {name!r} given twice (lines {given[name][1]} and {lineno})")
+        given[name] = raw, lineno
 
-    def take(key: str, default: str) -> str:
-        return values.get(key, default)
-
-    def optional(key: str, kind, fieldname: str):
-        raw = values.get(key, "").strip()
-        if raw in ("", "auto", "none"):
-            return None
-        return _parse_scalar(raw, kind, fieldname)
-
-    dist_raw = take("distribution", "sphere")
-    try:
-        distribution = Distribution(dist_raw)
-    except ValueError as exc:
-        raise ConfigError(f"problem.distribution: unknown value {dist_raw!r}") from exc
+    values: dict[str, object] = {}  # dotted field -> value
+    for key in _CONFIG_KEYS:
+        if key.name not in given:
+            continue
+        if key.field.startswith("crowd.pool.") and values.get("crowd.worker_model") != "pool":
+            raise ConfigError(f"{key.field}: {key.name} needs worker_model = pool")
+        values[key.field] = _read(key, given[key.name][0])
+    with_pool = values.pop("crowd.worker_model", None) == "pool"
+    sections: dict[str, dict] = defaultdict(dict)  # "" holds the top-level fields
+    for dotted, value in values.items():
+        section, _, name = dotted.rpartition(".")
+        sections[section][name] = value
 
     try:
-        problem = ProblemConfig(
-            dimension=_parse_scalar(take("d", "2"), int, "problem.dimension"),
-            target_error=_parse_scalar(take("epsilon", "0.1"), float, "problem.target_error"),
-            confidence=_parse_scalar(take("delta", "0.001"), float, "problem.confidence"),
-            vc_constant=_parse_scalar(take("vc_constant", "2.0"), float, "problem.vc_constant"),
-            distribution=distribution,
-        )
-    except ValueError as exc:
         # the dataclass messages already carry the dotted field name
-        raise ConfigError(str(exc)) from exc
-
-    worker_model = take("worker_model", "iid")
-    pool = None
-    if worker_model == "pool":
-        adv_raw = take("adversary", "always_wrong")
-        try:
-            adversary = Adversary(adv_raw)
-        except ValueError as exc:
-            raise ConfigError(f"crowd.pool.adversary: unknown value {adv_raw!r}") from exc
-        try:
-            pool = PoolModel(
-                reliable_fraction=_parse_scalar(
-                    take("reliable_fraction", "1.0"), float, "crowd.pool.reliable_fraction"
-                ),
-                reliable_accuracy=_parse_scalar(
-                    take("reliable_accuracy", "1.0"), float, "crowd.pool.reliable_accuracy"
-                ),
-                adversary=adversary,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"crowd.{exc}") from exc
-    elif worker_model != "iid":
-        raise ConfigError(f"crowd.worker_model: unknown value {worker_model!r}")
-    else:
-        for key in ("reliable_fraction", "reliable_accuracy", "adversary"):
-            if key in values:
-                raise ConfigError(f"crowd.pool.{key}: {key} needs worker_model = pool")
-
-    try:
-        crowd = CrowdConfig(
-            alpha=_parse_scalar(take("alpha", "0.35"), float, "crowd.alpha"),
-            beta=_parse_scalar(take("beta", "0.35"), float, "crowd.beta"),
-            pool=pool,
-        )
+        pool = PoolModel(**sections["crowd.pool"]) if with_pool else None
+        problem = ProblemConfig(**sections["problem"])
+        crowd = CrowdConfig(**sections["crowd"], pool=pool)
+        filter_cfg = FilterConfig(**sections["filter"])
+        constants = PipelineConstants(**sections["constants"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    try:
-        filter_cfg = FilterConfig(
-            subsample_constant=_parse_scalar(take("c_b", "10.0"), float, "filter.subsample_constant"),
-            walk_length=optional("walk_length", int, "filter.walk_length"),
-            per_round_confidence=optional(
-                "per_round_confidence", float, "filter.per_round_confidence"
-            ),
-            early_stop_target=optional("early_stop_target", int, "filter.early_stop_target"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        constants = PipelineConstants(
-            phase2_sample_factor=_parse_scalar(take("c2", "4.0"), float, "constants.phase2_sample_factor"),
-            mixture_size_factor=_parse_scalar(take("c_w", "2.0"), float, "constants.mixture_size_factor"),
-            rejection_budget_factor=_parse_scalar(
-                take("r_max_factor", "10.0"), float, "constants.rejection_budget_factor"
-            ),
-            learner_solver=take("learner_solver", "feasibility"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     return ExperimentConfig(
-        problem=problem,
-        crowd=crowd,
-        filter=filter_cfg,
-        constants=constants,
-        seeds=_parse_seeds(take("seeds", "")),
-        holdout_size=_parse_scalar(take("holdout_size", "20000"), int, "holdout_size"),
-        algorithm=take("algorithm", "both"),
+        problem=problem, crowd=crowd, filter=filter_cfg, constants=constants, **sections[""]
     )
 
 
@@ -304,41 +278,31 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
 
 
+def override(cfg: ExperimentConfig, **raw: str) -> ExperimentConfig:
+    """``cfg`` with top-level keys (seeds, holdout_size, algorithm) replaced
+    by raw values, parsed and checked as in a config file."""
+    keys = {key.name: key for key in _CONFIG_KEYS if "." not in key.field}
+    return replace(cfg, **{keys[name].field: _read(keys[name], value) for name, value in raw.items()})
+
+
+def _config_value(value, none: str | None) -> str:
+    if value is None:
+        return none
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 def dump_config(cfg: ExperimentConfig) -> str:
     """Effective configuration, defaults included, reloadable verbatim."""
-    lines = [
-        f"d = {cfg.problem.dimension}",
-        f"epsilon = {cfg.problem.target_error!r}",
-        f"delta = {cfg.problem.confidence!r}",
-        f"vc_constant = {cfg.problem.vc_constant!r}",
-        f"distribution = {cfg.problem.distribution.value}",
-        f"alpha = {cfg.crowd.alpha!r}",
-        f"beta = {cfg.crowd.beta!r}",
-    ]
-    if cfg.crowd.pool is None:
-        lines.append("worker_model = iid")
-    else:
-        lines += [
-            "worker_model = pool",
-            f"reliable_fraction = {cfg.crowd.pool.reliable_fraction!r}",
-            f"reliable_accuracy = {cfg.crowd.pool.reliable_accuracy!r}",
-            f"adversary = {cfg.crowd.pool.adversary.value}",
-        ]
-    lines += [
-        f"c2 = {cfg.constants.phase2_sample_factor!r}",
-        f"c_w = {cfg.constants.mixture_size_factor!r}",
-        f"c_b = {cfg.filter.subsample_constant!r}",
-        f"r_max_factor = {cfg.constants.rejection_budget_factor!r}",
-        f"learner_solver = {cfg.constants.learner_solver}",
-        f"walk_length = {'auto' if cfg.filter.walk_length is None else cfg.filter.walk_length}",
-        "per_round_confidence = "
-        + ("auto" if cfg.filter.per_round_confidence is None else repr(cfg.filter.per_round_confidence)),
-        "early_stop_target = "
-        + ("none" if cfg.filter.early_stop_target is None else str(cfg.filter.early_stop_target)),
-        "seeds = " + ",".join(str(s) for s in cfg.seeds),
-        f"holdout_size = {cfg.holdout_size}",
-        f"algorithm = {cfg.algorithm}",
-    ]
+    lines = []
+    for key in _CONFIG_KEYS:
+        *path, name = key.field.split(".")
+        owner = reduce(getattr, path, cfg)
+        if owner is not None:  # None: the crowd.pool keys of an iid crowd
+            lines.append(f"{key.name} = {_config_value(getattr(owner, name), key.none)}")
     return "\n".join(lines) + "\n"
 
 
@@ -350,9 +314,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
 def _execute_trial(task) -> ReportRow:
     cfg, algorithm, seed = task
     if algorithm == "boost":
-        report = run_boost(
-            cfg.problem, cfg.crowd, cfg.constants, cfg.filter, seed, cfg.holdout_size
-        )
+        report = run_boost(cfg.problem, cfg.crowd, cfg.constants, cfg.filter, seed, cfg.holdout_size)
     else:
         report = run_natural(cfg.problem, cfg.crowd, cfg.constants, seed, cfg.holdout_size)
     return row_from_report(report, cfg)
@@ -390,44 +352,20 @@ def _summary_row(cell_rows: list[ReportRow]) -> ReportRow:
             sum((rendered_float(getattr(r, name)) - mu) ** 2 for r in cell_rows) / n
         )
 
-    first = cell_rows[0]
-    flags = (
-        "summary",
-        f"n={n}",
-        f"std_lambda_L={std('lambda_L'):.9g}",
-        f"std_lambda_C={std('lambda_C'):.9g}",
-        f"std_holdout_error={std('holdout_error'):.9g}",
-    )
-    return ReportRow(
-        algorithm=first.algorithm,
+    stds = (f"std_{name}={std(name):.9g}" for name in ("lambda_L", "lambda_C", "holdout_error"))
+    return replace(
+        cell_rows[0],
         seed=SUMMARY_SEED,
-        d=first.d,
-        epsilon=first.epsilon,
-        delta=first.delta,
-        alpha=first.alpha,
-        beta=first.beta,
-        m_eps=first.m_eps,
-        m_L=mean("m_L"),
-        m_C=mean("m_C"),
-        lambda_L=mean("lambda_L"),
-        lambda_C=mean("lambda_C"),
-        holdout_error=mean("holdout_error"),
-        p1_labels=mean("p1_labels"),
-        p1_comps=mean("p1_comps"),
-        p2_labels=mean("p2_labels"),
-        p2_comps=mean("p2_comps"),
-        p3_labels=mean("p3_labels"),
-        p3_comps=mean("p3_comps"),
-        flags=flags,
-        wall_clock_ms=mean("wall_clock_ms"),
+        flags=("summary", f"n={n}", *stds),
+        **{name: mean(name) for name in _AVERAGED},
     )
 
 
 def sweep(cfg: ExperimentConfig, epsilons, jobs: int = 1) -> list[ReportRow]:
-    """Cross the base config with each target error; per-cell mean/stddev
-    summary rows (seed = -1, flagged "summary") are appended after the
-    detail rows."""
-    epsilons = list(epsilons)
+    """Cross the base config with each target error (numbers or their text);
+    per-cell mean/stddev summary rows (seed = -1, flagged "summary") are
+    appended after the detail rows."""
+    epsilons = [_parse(eps, float, "epsilons") for eps in epsilons]
     if not epsilons:
         raise ConfigError("epsilons must be nonempty")
     for eps in epsilons:

@@ -37,15 +37,15 @@ class PoolModel:
     """Worker pool: a ``reliable_fraction`` answers correctly with probability
     ``reliable_accuracy``; the rest follow the adversary policy."""
 
-    reliable_fraction: float
-    reliable_accuracy: float
+    reliable_fraction: float = 1.0
+    reliable_accuracy: float = 1.0
     adversary: Adversary = Adversary.ALWAYS_WRONG
 
     def __post_init__(self):
         if not (0.0 < self.reliable_fraction <= 1.0):
-            raise ValueError("pool.reliable_fraction must lie in (0, 1]")
+            raise ValueError("crowd.pool.reliable_fraction must lie in (0, 1]")
         if not (0.5 < self.reliable_accuracy <= 1.0):
-            raise ValueError("pool.reliable_accuracy must lie in (1/2, 1]")
+            raise ValueError("crowd.pool.reliable_accuracy must lie in (1/2, 1]")
 
     @property
     def vote_accuracy(self) -> float:
@@ -88,6 +88,10 @@ class CrowdConfig:
                     "crowd.pool: reliable_fraction * reliable_accuracy must be "
                     f">= 1/2 + beta ({0.5 + self.beta:.4f}), got {floor:.4f}"
                 )
+
+    @property
+    def worker_model(self) -> str:
+        return "iid" if self.pool is None else "pool"
 
 
 @dataclass

@@ -56,12 +56,10 @@ class PipelineConstants:
     learner_solver: str = "feasibility"
 
     def __post_init__(self):
-        if self.phase2_sample_factor <= 0:
-            raise ValueError("constants.phase2_sample_factor must be positive")
-        if self.mixture_size_factor <= 0:
-            raise ValueError("constants.mixture_size_factor must be positive")
-        if self.rejection_budget_factor <= 0:
-            raise ValueError("constants.rejection_budget_factor must be positive")
+        for name in ("phase2_sample_factor", "mixture_size_factor", "rejection_budget_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"constants.{name} must be positive and finite")
         if self.learner_solver not in ("perceptron", "feasibility"):
             raise ValueError("constants.learner_solver must be 'perceptron' or 'feasibility'")
 

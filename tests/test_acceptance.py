@@ -13,12 +13,12 @@ import pytest
 from crowdpac.analytic import run_verification
 from crowdpac.compare_label import compare_and_label, noisy_quicksort
 from crowdpac.filtering import (
+    _MISTAKE,
     FilterConfig,
     SupportPair,
-    Verdict,
+    _walk_verdicts,
     default_walk_length,
     filter_mistakes,
-    interval_test,
 )
 from crowdpac.geometry import (
     Halfspace,
@@ -201,14 +201,11 @@ def test_criterion_5_routing_probabilities():
     outside = np.array([-0.5, 0.0])  # ground truth -1
     walk = default_walk_length(0.04)
     reps = 2000
-    mistakes = sum(
-        interval_test(outside, support, 1, walk, oracle) is Verdict.MISTAKE
-        for _ in range(reps)
-    )
-    false_alarms = sum(
-        interval_test(outside, support, -1, walk, oracle) is Verdict.MISTAKE
-        for _ in range(reps)
-    )
+    batch = np.tile(outside, (reps, 1))
+    codes, _ = _walk_verdicts(batch, support, np.full(reps, 1), walk, oracle)
+    mistakes = np.count_nonzero(codes == _MISTAKE)
+    codes, _ = _walk_verdicts(batch, support, np.full(reps, -1), walk, oracle)
+    false_alarms = np.count_nonzero(codes == _MISTAKE)
     ok_hit = verdict(
         "criterion 5", mistakes / reps >= 0.50,
         f"misclassified instances routed to suspects in {mistakes / reps:.3f} (bar 0.50)",

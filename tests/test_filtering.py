@@ -6,15 +6,14 @@ import pytest
 
 from crowdpac.compare_label import SortedLabeledSet
 from crowdpac.filtering import (
+    _AGREE,
+    _INSIDE,
+    _MISTAKE,
     FilterConfig,
     SupportPair,
-    Verdict,
-    _MISTAKE,
-    _VERDICTS,
     _walk_verdicts,
     default_walk_length,
     filter_mistakes,
-    interval_test,
     pick_support,
 )
 from crowdpac.geometry import Halfspace, ProblemConfig, sample_instances
@@ -62,66 +61,64 @@ class TestPickSupport:
         assert support.below[0] == -1.0
 
 
+def walk_one(x, support, h_label, walk_length, oracle):
+    """Verdict code of the walk of the single instance ``x``."""
+    codes, _ = _walk_verdicts(x[None], support, np.array([h_label]), walk_length, oracle)
+    return codes[0]
+
+
 class TestIntervalTest:
     def test_noiseless_agree_breaks_immediately(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 100)
-        verdict = interval_test(OUTSIDE_LEFT, SUPPORT, -1, 19, oracle)
-        assert verdict is Verdict.AGREE
+        assert walk_one(OUTSIDE_LEFT, SUPPORT, -1, 19, oracle) == _AGREE
         assert oracle.ledger.comparison_queries == 2  # one round, both sides
 
     def test_noiseless_inside_breaks_immediately(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 101)
-        verdict = interval_test(np.array([0.0, 0.3]), SUPPORT, 1, 19, oracle)
-        assert verdict is Verdict.INSIDE
+        assert walk_one(np.array([0.0, 0.3]), SUPPORT, 1, 19, oracle) == _INSIDE
         assert oracle.ledger.comparison_queries == 2
 
     def test_noiseless_mistake_runs_full_walk(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 102)
-        verdict = interval_test(OUTSIDE_LEFT, SUPPORT, 1, 19, oracle)
-        assert verdict is Verdict.MISTAKE
+        assert walk_one(OUTSIDE_LEFT, SUPPORT, 1, 19, oracle) == _MISTAKE
         assert oracle.ledger.comparison_queries == 2 * 19
 
     def test_one_sided_support_above_only(self):
         support = SupportPair(below=None, above=np.array([0.1, 0.0]))
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 103)
         # left of the positive support with a negative hypothesis label: inside
-        assert interval_test(OUTSIDE_LEFT, support, -1, 5, oracle) is Verdict.INSIDE
+        assert walk_one(OUTSIDE_LEFT, support, -1, 5, oracle) == _INSIDE
         # right of it, hypothesis positive: agreement
-        assert interval_test(np.array([0.9, 0.0]), support, 1, 5, oracle) is Verdict.AGREE
+        assert walk_one(np.array([0.9, 0.0]), support, 1, 5, oracle) == _AGREE
         # one comparison per round when only one side is present
         assert oracle.ledger.comparison_queries == 2
 
     def test_one_sided_support_below_only(self):
         support = SupportPair(below=np.array([-0.1, 0.0]), above=None)
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 104)
-        assert interval_test(np.array([0.9, 0.0]), support, 1, 5, oracle) is Verdict.INSIDE
-        assert interval_test(OUTSIDE_LEFT, support, -1, 5, oracle) is Verdict.AGREE
+        assert walk_one(np.array([0.9, 0.0]), support, 1, 5, oracle) == _INSIDE
+        assert walk_one(OUTSIDE_LEFT, support, -1, 5, oracle) == _AGREE
 
     def test_requires_a_support(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 105)
         with pytest.raises(ValueError):
-            interval_test(OUTSIDE_LEFT, SupportPair(None, None), 1, 5, oracle)
+            walk_one(OUTSIDE_LEFT, SupportPair(None, None), 1, 5, oracle)
 
     def test_requires_odd_walk(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 106)
         with pytest.raises(ValueError):
-            interval_test(OUTSIDE_LEFT, SUPPORT, 1, 4, oracle)
+            walk_one(OUTSIDE_LEFT, SUPPORT, 1, 4, oracle)
 
     def test_routing_frequencies_under_noise(self):
         # per-round both-correct probability 0.85^2 = 0.7225 > 0.7
         oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 107)
         walk = default_walk_length(0.04)
         reps = 500
-        as_mistake = sum(
-            interval_test(OUTSIDE_LEFT, SUPPORT, 1, walk, oracle) is Verdict.MISTAKE
-            for _ in range(reps)
-        )
-        as_false_alarm = sum(
-            interval_test(OUTSIDE_LEFT, SUPPORT, -1, walk, oracle) is Verdict.MISTAKE
-            for _ in range(reps)
-        )
-        assert as_mistake / reps >= 0.5
-        assert as_false_alarm / reps <= 0.1
+        batch = np.tile(OUTSIDE_LEFT, (reps, 1))
+        mistakes, _ = _walk_verdicts(batch, SUPPORT, np.full(reps, 1), walk, oracle)
+        false_alarms, _ = _walk_verdicts(batch, SUPPORT, np.full(reps, -1), walk, oracle)
+        assert np.count_nonzero(mistakes == _MISTAKE) / reps >= 0.5
+        assert np.count_nonzero(false_alarms == _MISTAKE) / reps <= 0.1
 
 
 def exact_walk(q, walk_length, h_label):
@@ -134,7 +131,7 @@ def exact_walk(q, walk_length, h_label):
     """
     tag_odds = ((-1, q), (1, 1 - q))
     walking = {(0, 0): 1.0}
-    shares = dict.fromkeys(Verdict, 0.0)
+    shares = dict.fromkeys((_INSIDE, _AGREE, _MISTAKE), 0.0)
     rounds = defaultdict(float)  # round -> probability of ending there
     for t in range(1, walk_length + 1):
         step = defaultdict(float)
@@ -150,10 +147,10 @@ def exact_walk(q, walk_length, h_label):
             agree = (below < 0 and h_label == -1) or (above > 0 and h_label == 1)
             if inside or agree:
                 p = walking.pop((below, above))
-                shares[Verdict.INSIDE if inside else Verdict.AGREE] += p
+                shares[_INSIDE if inside else _AGREE] += p
                 rounds[t] += p
-    shares[Verdict.MISTAKE] = sum(walking.values())
-    rounds[walk_length] += shares[Verdict.MISTAKE]
+    shares[_MISTAKE] = sum(walking.values())
+    rounds[walk_length] += shares[_MISTAKE]
     mean = sum(t * p for t, p in rounds.items())
     sd = math.sqrt(sum((t - mean) ** 2 * p for t, p in rounds.items()))
     return shares, mean, sd
@@ -171,10 +168,9 @@ class TestWalkDistribution:
         )
         shares, mean_rounds, sd_rounds = exact_walk(0.85, walk, h_label)
         assert math.isclose(sum(shares.values()), 1.0)
-        for code, verdict in _VERDICTS.items():
-            p = shares[verdict]
+        for code, p in shares.items():
             se = math.sqrt(p * (1 - p) / n)
-            assert abs(np.count_nonzero(codes == code) / n - p) <= 4 * se, verdict
+            assert abs(np.count_nonzero(codes == code) / n - p) <= 4 * se, code
         assert abs(rounds.mean() - mean_rounds) <= 4 * sd_rounds / math.sqrt(n)
         assert np.all(rounds % 2 == 1) and np.all(rounds[codes == _MISTAKE] == walk)
         assert oracle.ledger.comparison_queries == 2 * int(rounds.sum())

@@ -1,12 +1,15 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from crowdpac.cli import main
 from crowdpac.harness import (
+    _CONFIG_KEYS,
     CSV_HEADER,
     ConfigError,
+    ExperimentConfig,
     dump_config,
     load_config,
     parse_config_text,
@@ -28,6 +31,8 @@ seeds = 0:2
 """
 
 SMALL = MINIMAL + "holdout_size = 1000\n"
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
 
 
 def strip_wall_clock(csv_text: str) -> list[str]:
@@ -112,6 +117,41 @@ class TestConfigParsing:
             parse_config_text(MINIMAL.replace("seeds = 0:2", f"seeds = {seeds}"))
         with pytest.raises(ConfigError, match=r"^seeds must be non-negative"):
             replace(parse_config_text(MINIMAL), seeds=(0, -1))
+
+    @pytest.mark.parametrize("key", _CONFIG_KEYS, ids=lambda key: key.name)
+    def test_unparsable_value_names_field(self, key):
+        # the pool keys are only read with worker_model = pool
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key.name} =")]
+        if key.name != "worker_model":
+            lines.append("worker_model = pool")
+        text = "\n".join(lines + [f"{key.name} = bogus"]) + "\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(key.field), str(info.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, fieldname",
+        [
+            ("vc_constant", "problem.vc_constant"),
+            ("c_b", "filter.subsample_constant"),
+            ("c2", "constants.phase2_sample_factor"),
+            ("c_w", "constants.mixture_size_factor"),
+            ("r_max_factor", "constants.rejection_budget_factor"),
+        ],
+    )
+    def test_non_finite_constant_rejected(self, key, fieldname, value):
+        with pytest.raises(ConfigError, match=rf"^{fieldname} must be positive and finite"):
+            parse_config_text(MINIMAL + f"{key} = {value}\n")
+
+    def test_default_config_round_trips(self):
+        assert parse_config_text(dump_config(ExperimentConfig())) == ExperimentConfig()
+
+    def test_example_config_loads_and_round_trips(self):
+        cfg = load_config(EXAMPLE)
+        assert cfg.problem.target_error == 0.04
+        assert cfg.seeds == tuple(range(50))
+        assert parse_config_text(dump_config(cfg)) == cfg
 
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -296,6 +336,9 @@ class TestCli:
             (["run", "--seed-list", "3,3"], "seeds: 3 given more than once"),
             (["run", "--seed-list=-1"], "seeds must be non-negative, got -1"),
             (["sweep", "--epsilons", "0.2,0.2"], "epsilons: 0.2 given more than once"),
+            (["run", "--seed-list", "1,x"], "seeds: cannot parse '1,x'"),
+            (["run", "--seed-list", "0:y"], "seeds: cannot parse '0:y'"),
+            (["sweep", "--epsilons", "0.2,abc"], "epsilons: cannot parse 'abc'"),
         ],
     )
     def test_repeated_or_negative_values_exit_code(self, tmp_path, capsys, flags, message):
@@ -306,6 +349,19 @@ class TestCli:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_seed_list_range(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL)
+        out_dir = tmp_path / "results"
+        code = main([
+            "run", "--config", str(cfg_path), "--out", str(out_dir),
+            "--algorithm", "natural", "--seed-list", "2:4",
+        ])
+        assert code == 0
+        rows = (out_dir / "report.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["2", "3"]
+        assert "seeds = 2,3" in (out_dir / "effective_config.cfg").read_text()
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")])
