@@ -2,8 +2,8 @@
 
 These are independent of the simulation code paths they are used to check:
 the ruin probability is the classical biased-walk closed form, the majority
-error is an exact binomial tail summation, and the Hoeffding bound is the
-plain exponential.
+error is an exact binomial tail summation, the Hoeffding bound is the plain
+exponential, and the disagreement of two halfspaces is their angle over pi.
 """
 
 from __future__ import annotations
@@ -104,6 +104,26 @@ def quicksort_expected_tests(m: int) -> float:
     return 2.0 * (m + 1) * harmonic - 4.0 * m
 
 
+def halfspace_disagreement(u, v) -> float:
+    """Mass theta/pi on which sign(u.x) != sign(v.x) under any rotation-invariant
+    marginal, theta being the angle between u and v.
+
+    theta is atan2 of v's components orthogonal and parallel to u, which keeps
+    thin angles accurate where acos of the cosine loses them.  A pair parallel
+    within rounding (and any pair in d = 1) gives exactly 0 or 1.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim != 1 or not (np.any(u) and np.any(v)):
+        raise ValueError("u and v must be nonzero vectors of one dimension")
+    e1 = u / np.linalg.norm(u)
+    along = float(v @ e1)
+    across = float(np.linalg.norm(v - along * e1))
+    if across <= 4 * u.size * np.finfo(float).eps * np.linalg.norm(v):
+        return 0.0 if along > 0 else 1.0
+    return math.atan2(across, along) / math.pi
+
+
 # ---------------------------------------------------------------------------
 # verification suites (surfaced through the CLI `verify` command)
 # ---------------------------------------------------------------------------
@@ -200,6 +220,28 @@ def verify_boost_identity(grid: str, rng: np.random.Generator) -> list[CheckResu
     return results
 
 
+def verify_halfspace_disagreement(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    n, tol = (100_000, 0.01) if grid == "full" else (20_000, 0.02)
+    results = []
+    for d in (2, 5, 20):
+        u, v = rng.standard_normal((2, d))
+        expected = halfspace_disagreement(u, v)
+        for marginal in ("sphere", "gaussian"):
+            points = rng.standard_normal((n, d))
+            if marginal == "sphere":
+                points /= np.linalg.norm(points, axis=1, keepdims=True)
+            empirical = float(np.mean((points @ u >= 0) != (points @ v >= 0)))
+            gap = abs(empirical - expected)
+            results.append(
+                CheckResult(
+                    name=f"halfspace disagreement d={d} {marginal}",
+                    passed=gap <= tol,
+                    detail=f"closed form {expected:.6f}, monte carlo {empirical:.6f}, |gap| {gap:.6f} <= {tol}",
+                )
+            )
+    return results
+
+
 def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     """All analytic-oracle checks; `grid` is "small" (fast) or "full"."""
     if grid not in ("small", "full"):
@@ -209,4 +251,5 @@ def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     results += verify_ruin_vs_monte_carlo(grid, rng)
     results += verify_hoeffding_domination(grid)
     results += verify_boost_identity(grid, rng)
+    results += verify_halfspace_disagreement(grid, rng)
     return results

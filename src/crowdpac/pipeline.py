@@ -5,9 +5,11 @@ Phase 1 learns a weak hypothesis from a small sorted-and-labeled sample.
 Phase 2 hunts instances that hypothesis gets wrong (via the filter), labels
 them together with a fresh agreement sample, and trains a second hypothesis
 on an equal-weight mixture of the disagreeing and agreeing labeled points.
-Phase 3 trains a third hypothesis on instances where the first two disagree,
-gathered by rejection sampling (which costs no oracle queries).  The returned
-classifier is the pointwise majority of the three.
+Phase 3 trains a third hypothesis on instances where the first two disagree.
+It costs no oracle queries: the instances are drawn directly in the two
+antipodal wedges where h1 and h2 disagree, with the draw count a rejection
+sampler would have spent.  The returned classifier is the pointwise majority
+of the three.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class PipelineConstants:
     ``phase2_sample_factor`` (c2) scales the filter input, |S2| = c2 *
     ceil(m_sqrt / sqrt(eps)); ``mixture_size_factor`` (c_w) scales the
     mixture training set, |W| = c_w * m_sqrt; ``rejection_budget_factor``
-    caps phase-3 rejection sampling at ceil(factor * m_sqrt / eps) draws.
+    caps phase 3 at ceil(factor * m_sqrt / eps) fresh instances examined:
+    the wedge draw counts the instances a rejection sampler would have
+    examined, and phase 3 falls back to h1 when that count passes the cap.
     ``learner_solver`` picks the consistent-learner route ("feasibility" by
     default: near-boundary training sets give the perceptron pathologically
     thin margins; both routes satisfy the same zero-training-error contract).
@@ -259,6 +263,26 @@ def phase2(
     )
 
 
+def _orthonormal_basis(vectors) -> np.ndarray:
+    """Orthonormal columns spanning ``vectors``, in their order; a vector
+    within rounding of the span of those before it adds no column.
+
+    Gram-Schmidt with a second pass, which keeps nearly parallel vectors
+    orthonormal (numpy's LAPACK QR would page in about 0.7 MB of library
+    code for these few columns).
+    """
+    columns: list[np.ndarray] = []
+    for vector in vectors:
+        rest = vector
+        for _ in range(2):
+            for e in columns:
+                rest = rest - (rest @ e) * e
+        norm = np.linalg.norm(rest)
+        if norm > 4 * rest.size * np.finfo(float).eps * np.linalg.norm(vector):
+            columns.append(rest / norm)
+    return np.column_stack(columns)
+
+
 def rejection_sample_disagreements(
     h1: Halfspace,
     h2: Halfspace,
@@ -267,28 +291,42 @@ def rejection_sample_disagreements(
     max_draws: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    """First ``target`` instances with h1(x) != h2(x) among at most
-    ``max_draws`` fresh draws; returns (accepted rows, draws consumed up to
-    and including the last accept, or max_draws when short)."""
-    accepted: list[np.ndarray] = []
-    n_accepted = 0
-    drawn = 0
-    batch_size = 512
-    while drawn < max_draws and n_accepted < target:
-        batch = min(batch_size, max_draws - drawn)
-        points = sample_instances(problem, batch, rng)
-        keep = h1.predict(points) != h2.predict(points)
-        hits = np.nonzero(keep)[0]
-        if n_accepted + hits.size >= target:
-            need = target - n_accepted
-            accepted.append(points[hits[:need]])
-            n_accepted = target
-            drawn += int(hits[need - 1]) + 1
-            break
-        accepted.append(points[hits])
-        n_accepted += int(hits.size)
-        drawn += batch
-    rows = np.vstack(accepted) if accepted else np.empty((0, problem.dimension))
+    """The accepted rows of a rejection sampler that keeps the first
+    ``target`` fresh instances with h1(x) != h2(x) among at most
+    ``max_draws``; returns (accepted rows, draws consumed up to and including
+    the last accept, or max_draws when short).
+
+    Both marginals are rotation-invariant, so a point's angle in
+    span(w1, w2) is uniform and independent of its planar radius and its
+    orthogonal part, and h1 != h2 exactly on two antipodal wedges of angle
+    theta (total mass p = theta/pi).  Nothing is rejected here: the gaps
+    between accepts are geometric(p), and each accepted row is a fresh
+    instance whose planar angle is redrawn uniformly on the wedges.  A pair
+    parallel within rounding (or d = 1) has p = 0 or p = 1 exactly.
+    """
+    w2 = h2.weights
+    basis = _orthonormal_basis([h1.weights, w2])
+    along = float(w2 @ basis[:, 0])
+    if basis.shape[1] == 1:
+        theta = 0.0 if along > 0 else math.pi
+    else:
+        theta = math.atan2(float(w2 @ basis[:, 1]), along)
+    p = theta / math.pi
+    if p == 0.0:
+        return np.empty((0, problem.dimension)), max_draws
+    # a gap past the budget ends the run; clipping keeps the sum in int64
+    positions = np.cumsum(np.minimum(rng.geometric(p, target), max_draws + 1))
+    n_accepted = int(np.searchsorted(positions, max_draws, side="right"))
+    drawn = int(positions[-1]) if n_accepted == target else max_draws
+    rows = sample_instances(problem, n_accepted, rng)
+    if p < 1.0:
+        # wedge angles: [-pi/2, theta - pi/2) from w1 towards w2, or that plus pi
+        e1, e2 = basis.T
+        a, b = rows @ e1, rows @ e2
+        radius = np.hypot(a, b)
+        offset = rng.random(n_accepted) * (2.0 * theta)
+        angle = np.where(offset < theta, offset, offset - theta + math.pi) - math.pi / 2
+        rows += np.outer(radius * np.cos(angle) - a, e1) + np.outer(radius * np.sin(angle) - b, e2)
     return rows, drawn
 
 
@@ -342,9 +380,27 @@ def phase3(
 def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
                   n: int, rng: np.random.Generator) -> float:
     """Disagreement with the ground truth on n fresh instances (free of
-    charge: error measurement is instrumentation, not a crowd query)."""
-    points = sample_instances(problem, n, rng)
-    return float(np.mean(predictor.predict(points) != ground_truth.predict(points)))
+    charge: error measurement is instrumentation, not a crowd query).
+
+    ``predictor`` is a Halfspace or a MajorityVote of Halfspaces.  Every sign
+    it and the ground truth take depends only on a point's projection onto
+    the span of their weights (at most 4 dims), and not on its norm; for
+    both marginals that projection's direction is uniform, so the n points
+    are drawn as standard normals in an orthonormal basis of that span.
+    """
+    voters = predictor.voters if isinstance(predictor, MajorityVote) else (predictor,)
+    if not all(isinstance(voter, Halfspace) for voter in voters):
+        raise TypeError("holdout_error needs a Halfspace or a MajorityVote of Halfspaces")
+    if any(voter.dim != ground_truth.dim for voter in voters):
+        raise ValueError("predictor and ground truth must share one dimension")
+    basis = _orthonormal_basis([ground_truth.weights] + [voter.weights for voter in voters])
+
+    def project(h: Halfspace) -> Halfspace:
+        return Halfspace(h.weights @ basis)
+
+    reduced = MajorityVote(*map(project, voters))
+    points = rng.standard_normal((n, basis.shape[1]))
+    return float(np.mean(reduced.predict(points) != project(ground_truth).predict(points)))
 
 
 def trial_rng(seed: int, algorithm: str) -> np.random.Generator:

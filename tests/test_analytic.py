@@ -6,6 +6,7 @@ import pytest
 from crowdpac.analytic import (
     WalkSpec,
     boosted_majority_error,
+    halfspace_disagreement,
     hoeffding_majority_bound,
     majority_error_exact,
     quicksort_expected_tests,
@@ -115,6 +116,39 @@ class TestBoostIdentity:
 
     def test_closed_form_value(self):
         assert boosted_majority_error(0.2) == pytest.approx(0.104)
+
+
+class TestHalfspaceDisagreement:
+    def test_orthogonal_is_half(self):
+        assert halfspace_disagreement([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.5, abs=1e-15)
+
+    def test_antiparallel_is_one(self):
+        u = make_rng(42).standard_normal(20)
+        assert halfspace_disagreement(u, -0.3 * u) == 1.0
+
+    def test_positive_multiple_is_zero(self):
+        u = make_rng(43).standard_normal(20)
+        assert halfspace_disagreement(u, 3.7 * u) == 0.0
+
+    def test_one_dimension(self):
+        assert halfspace_disagreement([2.0], [0.5]) == 0.0
+        assert halfspace_disagreement([2.0], [-0.5]) == 1.0
+
+    def test_thin_angle_keeps_its_digits(self):
+        # acos(cos 1e-12) is 0 in double precision; atan2 keeps the angle
+        angle = 1e-12
+        value = halfspace_disagreement([1.0, 0.0], [math.cos(angle), math.sin(angle)])
+        assert value == pytest.approx(angle / math.pi, rel=1e-9)
+
+    def test_symmetric_and_scale_free(self):
+        u, v = make_rng(44).standard_normal((2, 5))
+        assert halfspace_disagreement(u, v) == pytest.approx(halfspace_disagreement(v, u), abs=1e-15)
+        assert halfspace_disagreement(u, v) == pytest.approx(halfspace_disagreement(4 * u, 0.1 * v), abs=1e-15)
+
+    def test_rejects_bad_pairs(self):
+        for u, v in (([1.0, 0.0], [1.0]), ([0.0, 0.0], [1.0, 0.0]), ([[1.0]], [[1.0]])):
+            with pytest.raises(ValueError):
+                halfspace_disagreement(u, v)
 
 
 def test_quicksort_expected_tests_small_cases():

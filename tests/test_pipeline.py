@@ -1,14 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import binom, chisquare, f as f_dist, ks_2samp
 
-from crowdpac.analytic import boosted_majority_error
+from crowdpac.analytic import boosted_majority_error, halfspace_disagreement
 from crowdpac.filtering import FilterConfig
-from crowdpac.geometry import Halfspace, ProblemConfig, random_unit_vector, sample_instances
+from crowdpac.geometry import (
+    Distribution,
+    Halfspace,
+    ProblemConfig,
+    random_unit_vector,
+    sample_instances,
+)
 from crowdpac.oracles import CrowdConfig, CrowdOracle, QueryLedger, vote_sizes
 from crowdpac.pipeline import (
+    MajorityVote,
     PipelineConstants,
     draw_equal_mixture,
     holdout_error,
@@ -169,6 +177,30 @@ class TestPhase3:
         assert report.hypothesis is h1
         assert report.labels_used == 0 and report.comparisons_used == 0
 
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_positive_multiples_never_disagree(self, d):
+        w = random_unit_vector(d, make_rng(235, d))
+        problem = replace(PROBLEM, dimension=d)
+        m_sqrt = weak_sample_size(problem)
+        max_draws = math.ceil(CONSTANTS.rejection_budget_factor * m_sqrt / problem.target_error)
+        oracle, _ = fresh_oracle(CROWD, 235)
+        report = phase3(Halfspace(w), Halfspace(3.7 * w), problem, CONSTANTS, oracle)
+        assert report.flags == ["phase3:negligible_disagreement"]
+        assert report.sample_sizes == {"S3": 0, "S3_draws": max_draws}
+        assert report.labels_used == 0 and report.comparisons_used == 0
+        assert oracle.ledger.label_queries == 0 and oracle.ledger.comparison_queries == 0
+
+    @pytest.mark.parametrize("w", [[1.0, 0.3], [-2.0]])
+    def test_antiparallel_accepts_every_draw(self, w):
+        w = np.array(w)
+        problem = replace(PROBLEM, dimension=len(w))
+        rng = make_rng(236, len(w))
+        oracle = CrowdOracle(Halfspace(random_unit_vector(len(w), rng)), NOISELESS, rng, QueryLedger())
+        report = phase3(Halfspace(w), Halfspace(-0.5 * w), problem, CONSTANTS, oracle)
+        m_sqrt = weak_sample_size(problem)
+        assert report.flags == []
+        assert report.sample_sizes == {"S3": m_sqrt, "S3_draws": m_sqrt}
+
     def test_normal_path_trains_on_region(self):
         theta = 0.3 * math.pi
         h1 = Halfspace(np.array([1.0, 0.0]))
@@ -178,6 +210,145 @@ class TestPhase3:
         assert report.flags == []
         assert report.sample_sizes["S3"] == weak_sample_size(PROBLEM)
         assert report.labels_used > 0 and report.comparisons_used > 0
+
+
+def rejection_reference(h1, h2, problem, target, max_draws, rng):
+    """The batched rejection loop phase 3 used to run, kept as the reference
+    the direct wedge draw must match in distribution."""
+    accepted, n_accepted, drawn = [], 0, 0
+    while drawn < max_draws and n_accepted < target:
+        batch = min(512, max_draws - drawn)
+        points = sample_instances(problem, batch, rng)
+        hits = np.nonzero(h1.predict(points) != h2.predict(points))[0]
+        if n_accepted + hits.size >= target:
+            need = target - n_accepted
+            accepted.append(points[hits[:need]])
+            return np.vstack(accepted), drawn + int(hits[need - 1]) + 1
+        accepted.append(points[hits])
+        n_accepted += int(hits.size)
+        drawn += batch
+    return np.vstack(accepted) if accepted else np.empty((0, problem.dimension)), drawn
+
+
+def wedge_pair(d, p, *key):
+    """Two halfspaces at angle p*pi in a random plane of R^d."""
+    basis, _ = np.linalg.qr(make_rng(*key).standard_normal((d, 2)))
+    e1, e2 = basis.T
+    theta = p * math.pi
+    return Halfspace(e1), Halfspace(math.cos(theta) * e1 + math.sin(theta) * e2)
+
+
+class TestDirectDraws:
+    @pytest.mark.parametrize("p", [0.1, 0.005])
+    @pytest.mark.parametrize("distribution", list(Distribution))
+    def test_wedge_rows_match_rejection_rows(self, distribution, p):
+        problem = ProblemConfig(dimension=5, target_error=0.04, distribution=distribution)
+        h1, h2 = wedge_pair(5, p, 237)
+        direct, _ = rejection_sample_disagreements(h1, h2, problem, 2000, 10**7, make_rng(238))
+        reference, _ = rejection_reference(h1, h2, problem, 2000, 10**7, make_rng(239))
+        assert np.all(h1.predict(direct) != h2.predict(direct))
+        e1 = h1.weights
+        e2 = h2.weights - (h2.weights @ e1) * e1
+        e2 /= np.linalg.norm(e2)
+
+        def features(rows):
+            a, b = rows @ e1, rows @ e2
+            rest = rows - np.outer(a, e1) - np.outer(b, e2)
+            return np.arctan2(b, a), np.hypot(a, b), np.linalg.norm(rest, axis=1)
+
+        for name, x, y in zip(("angle", "radius", "orthogonal norm"),
+                              features(direct), features(reference)):
+            assert ks_2samp(x, y).pvalue > 1e-4, name
+
+    def test_draw_count_is_negative_binomial(self):
+        m, p, seeds = 20, 0.3, 4000
+        h1, h2 = wedge_pair(3, p, 240)
+        problem = ProblemConfig(dimension=3)
+        drawn = np.array([
+            rejection_sample_disagreements(h1, h2, problem, m, 10**9, make_rng(241, seed))[1]
+            for seed in range(seeds)
+        ], dtype=float)
+        mean, var = m / p, m * (1 - p) / p**2
+        assert abs(drawn.mean() - mean) <= 4 * math.sqrt(var / seeds)
+        squares = (drawn - drawn.mean()) ** 2
+        assert abs(drawn.var(ddof=1) - var) <= 4 * squares.std() / math.sqrt(seeds)
+
+    def test_short_budget_share_matches_binomial_cdf(self):
+        m, p, budget, seeds = 20, 0.3, 60, 4000
+        h1, h2 = wedge_pair(3, p, 242)
+        problem = ProblemConfig(dimension=3)
+        outcomes = [
+            rejection_sample_disagreements(h1, h2, problem, m, budget, make_rng(243, seed))
+            for seed in range(seeds)
+        ]
+        accepted = np.array([len(rows) for rows, _ in outcomes])
+        drawn = np.array([d for _, d in outcomes])
+        short = accepted < m
+        assert np.all(drawn[short] == budget) and np.all(drawn[~short] <= budget)
+        # short exactly when fewer than m of the budget's draws disagree
+        expected = binom.cdf(m - 1, budget, p)
+        assert abs(short.mean() - expected) <= 4 * math.sqrt(expected * (1 - expected) / seeds)
+        counts = np.arange(m + 1)
+        pmf = binom.pmf(counts, budget, p)
+        pmf[-1] += binom.sf(m, budget, p)
+        mean = pmf @ counts
+        sd = math.sqrt(pmf @ (counts - mean) ** 2)
+        assert abs(accepted.mean() - mean) <= 4 * sd / math.sqrt(seeds)
+
+
+def full_holdout(predictor, truth, problem, n, rng):
+    """Holdout error on n instances drawn in full d, the reference for the
+    span-reduced draw."""
+    points = sample_instances(problem, n, rng)
+    return float(np.mean(predictor.predict(points) != truth.predict(points)))
+
+
+class TestHoldout:
+    @pytest.mark.parametrize("distribution", list(Distribution))
+    def test_reduced_matches_full_draw(self, distribution):
+        problem = ProblemConfig(dimension=20, target_error=0.1, distribution=distribution)
+        rng = make_rng(244)
+        truth = Halfspace(rng.standard_normal(20))
+        voters = [Halfspace(truth.weights + 0.5 * rng.standard_normal(20)) for _ in range(3)]
+        combined = majority_combine(*voters)
+        seeds, n = 200, 5000
+        reduced = np.array([holdout_error(combined, truth, problem, n, make_rng(245, s))
+                            for s in range(seeds)])
+        full = np.array([full_holdout(combined, truth, problem, n, make_rng(246, s))
+                         for s in range(seeds)])
+        se = math.sqrt((reduced.var(ddof=1) + full.var(ddof=1)) / seeds)
+        assert abs(reduced.mean() - full.mean()) <= 4 * se
+        ratio = reduced.var(ddof=1) / full.var(ddof=1)
+        tail = min(f_dist.cdf(ratio, seeds - 1, seeds - 1), f_dist.sf(ratio, seeds - 1, seeds - 1))
+        assert 2 * tail > 1e-4
+
+    def test_single_halfspace_matches_closed_form(self):
+        problem = ProblemConfig(dimension=20, target_error=0.1)
+        rng = make_rng(247)
+        truth = Halfspace(rng.standard_normal(20))
+        h = Halfspace(truth.weights + 0.5 * rng.standard_normal(20))
+        seeds, n = 200, 5000
+        errors = [holdout_error(h, truth, problem, n, make_rng(248, s)) for s in range(seeds)]
+        expected = halfspace_disagreement(h.weights, truth.weights)
+        assert abs(np.mean(errors) - expected) <= 4 * math.sqrt(expected * (1 - expected) / (n * seeds))
+
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    def test_degenerate_spans(self, d):
+        w = random_unit_vector(d, make_rng(250, d))
+        problem = ProblemConfig(dimension=d)
+        truth, h = Halfspace(w), Halfspace(2.0 * w)
+        assert holdout_error(majority_combine(h, h, truth), truth, problem, 1000, make_rng(251)) == 0.0
+        assert holdout_error(Halfspace(-w), truth, problem, 1000, make_rng(252)) == 1.0
+        if d > 1:
+            near = Halfspace(w + 1e-12 * random_unit_vector(d, make_rng(253, d)))
+            assert holdout_error(majority_combine(h, near, near), truth, problem, 1000, make_rng(254)) == 0.0
+
+    def test_rejects_voters_that_are_not_halfspaces(self):
+        truth = Halfspace(np.array([1.0, 0.0]))
+        voters = [_FixedErrorVoter(truth, 0.1, s) for s in range(3)]
+        for predictor in (MajorityVote(*voters), voters[0]):
+            with pytest.raises(TypeError, match="Halfspace"):
+                holdout_error(predictor, truth, PROBLEM, 100, make_rng(249))
 
 
 class _FixedErrorVoter:
