@@ -1,11 +1,23 @@
 """Consistent-halfspace learner: the PAC oracle fed with labeled samples.
 
-Reference algorithm is the perceptron, run over repeated passes until the
-sample is separated, with a cap on total updates.  If the cap is exhausted a
-linear feasibility solve (margin >= 1 on every point, via scipy/HiGHS) is
-attempted; on genuinely non-separable input the best iterate seen is
-returned with ``consistent=False`` so callers can flag it without aborting.
-Deterministic given the input order.
+A homogeneous halfspace w separates the sample when every row of
+Z = labels[:, None] * points has z . w > 0.  Such a w exists exactly when
+the origin lies outside the convex hull conv{z_i}.  Then the point x of the
+hull nearest the origin has z . x >= x . x on every row, so w = x / (x . x)
+has every margin z . w >= 1, with equality on the support rows: it is the
+hard-margin SVM separator, the w of least norm with all margins at least 1
+(Keerthi et al., IEEE Trans. Neural Networks 2000).  ``_feasible_separator``
+finds x with Wolfe's minimum-norm-point algorithm (Wolfe, Math. Programming
+1976) in numpy alone.  It ends after finitely many cycles and returns None
+when x is the origin, i.e. the sample is not separable.
+
+Both routes keep the same zero-training-error contract.  "feasibility"
+solves for the nearest point directly; its verdict is final, and on a sample
+that is not separable the perceptron, capped at n updates, only picks a
+best-effort hypothesis.  "perceptron" runs the perceptron over repeated
+passes, capped at 10000 n updates, and solves once when the cap runs out.
+A best-effort hypothesis comes back with ``consistent=False`` so callers can
+flag it without aborting.  Deterministic given the input order.
 """
 
 from __future__ import annotations
@@ -13,11 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import Halfspace
 
-DEFAULT_UPDATE_FACTOR = 10_000  # cap = factor * sample size
+DEFAULT_UPDATE_FACTOR = 10_000  # perceptron route: cap = factor * sample size
+
+# Wolfe's algorithm stops once min_i z_i . x >= x . x - _GAP_TOL * max_i z_i . z_i,
+# a gap at the level of x's rounding error.
+_GAP_TOL = 1e-14
+# A nearest point with x . x at most this share of max_i z_i . z_i is the
+# origin: the sample is not separable.
+_ORIGIN_TOL = 1e-24
+# Each major cycle shortens x strictly, so the count is finite; the cap turns
+# a numerical stall into a None instead of a hang.
+_MAX_MAJOR_CYCLES = 10_000
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -47,18 +69,101 @@ def _training_errors(points, labels, w) -> int:
 
 
 def _feasible_separator(points, labels) -> np.ndarray | None:
-    """Solve for w with y_i (w . x_i) >= 1; None when infeasible."""
-    d = points.shape[1]
-    res = linprog(
-        c=np.zeros(d),
-        A_ub=-(labels[:, None] * points),
-        b_ub=-np.ones(len(points)),
-        bounds=[(None, None)] * d,
-        method="highs",
-    )
-    if res.status == 0:
-        return np.asarray(res.x, dtype=float)
-    return None
+    """The max-margin w with y_i (w . x_i) >= 1, smallest margin 1; None when
+    the sample is not separable.
+
+    Wolfe's algorithm on the rows z_i = y_i x_i keeps x as a convex
+    combination of a support set of at most d+1 affinely independent rows.
+    A major cycle finds the row j minimizing z_j . x with one ``Z @ x``.
+    When z_j . x >= x . x, to rounding (_GAP_TOL), x is the nearest point:
+    w = x / (x . x), refined once so that the support rows' margins are 1 to
+    rounding.  Otherwise j joins the support, and minor cycles take the
+    affine minimizer of the support, one small solve each, stepping back to
+    the hull and dropping a row whenever that minimizer leaves it.  x . x
+    falls strictly every major cycle, so the loop is finite; a cycle that
+    fails to shorten x (rounding) ends it with w = x / (x . x) unrefined.
+    x at the origin, a run past _MAX_MAJOR_CYCLES, or a w without z . w > 0
+    on every row gives None.
+    """
+    z = labels[:, None] * points
+    d = z.shape[1]
+    norms = np.einsum("ij,ij->i", z, z)
+    scale = float(norms.max())
+    # The support rows and their bordered Gram matrix [[0, 1^T], [1, Z_S Z_S^T]]
+    # live in buffers with room for d+2 rows; the first k rows (k+1 rows and
+    # columns of the matrix) are in use.  Solving the matrix against e_0
+    # gives the affine minimizer's weights.
+    rows = np.empty((d + 2, d))
+    gram = np.ones((d + 3, d + 3))
+    gram[0, 0] = 0.0
+    unit = np.zeros(d + 3)
+    unit[0] = 1.0
+    first = int(np.argmin(norms))
+    rows[0] = z[first]
+    gram[1, 1] = norms[first]
+    k = 1
+    weights = np.ones(1)
+    x = z[first]
+    xx = float(norms[first])
+    for _ in range(_MAX_MAJOR_CYCLES):
+        if xx <= _ORIGIN_TOL * scale:
+            return None
+        g = z @ x
+        j = int(g.argmin())
+        if g[j] >= xx - _GAP_TOL * scale:
+            w = _refined(x / xx, rows[:k], gram[1:k + 1, 1:k + 1])
+            break
+        if k > d:  # d+1 support rows with x away from the origin: rounding
+            w = x / xx
+            break
+        rows[k] = z[j]
+        gram[k + 1, 1:k + 1] = gram[1:k + 1, k + 1] = rows[:k] @ z[j]
+        gram[k + 1, k + 1] = norms[j]
+        weights = np.append(weights, 0.0)
+        k += 1
+        while True:  # minor cycles
+            try:
+                affine = np.linalg.solve(gram[:k + 1, :k + 1], unit[:k + 1])[1:]
+            except np.linalg.LinAlgError:
+                break
+            if affine.min() > 0.0:
+                weights = affine
+                break
+            # step from the weights toward the affine minimizer until the
+            # first weight reaches zero, and drop that row
+            ratios = np.where(
+                affine <= 0.0, weights / np.maximum(weights - affine, _TINY), np.inf)
+            drop = int(ratios.argmin())
+            weights += ratios[drop] * (affine - weights)
+            weights[drop:-1] = weights[drop + 1:]
+            weights = np.maximum(weights[:-1], 0.0)
+            weights /= weights.sum()
+            rows[drop:k - 1] = rows[drop + 1:k]
+            gram[drop + 1:k, :k + 1] = gram[drop + 2:k + 1, :k + 1]
+            gram[:k, drop + 1:k] = gram[:k, drop + 2:k + 1]
+            k -= 1
+        new_x = weights @ rows[:k]
+        new_xx = float(new_x @ new_x)
+        if not new_xx < xx:
+            w = x / xx
+            break
+        x, xx = new_x, new_xx
+    else:
+        return None
+    return w if np.all(np.isfinite(w)) and np.all(z @ w > 0.0) else None
+
+
+def _refined(w, support, gram):
+    """One step of iterative refinement toward support . w = 1.
+
+    x / (x . x) carries x's rounding error, amplified by 1 / (x . x): on a
+    thin margin the support margins drift from 1.  The correction stays in
+    the span of the support rows, so w stays the least-norm separator.
+    """
+    try:
+        return w + np.linalg.solve(gram, 1.0 - support @ w) @ support
+    except np.linalg.LinAlgError:
+        return w
 
 
 def learn_consistent(
@@ -69,22 +174,26 @@ def learn_consistent(
 ) -> LearnResult:
     """Fit a halfspace with zero training error on a separable sample.
 
-    ``solver`` is "perceptron" (reference path with feasibility fallback) or
-    "feasibility" (direct linear-program solve, same contract, faster on thin
-    margins).
+    ``solver`` is "perceptron" (reference path, nearest-point solve when its
+    update cap runs out) or "feasibility" (the nearest-point solve directly:
+    same contract, faster on thin margins).  The direct solve's verdict on
+    separability is final: when it finds none, the perceptron only picks the
+    best-effort hypothesis, capped at n updates unless ``max_updates`` says
+    otherwise.
     """
     points, labels = _validate_sample(points, labels)
     n, d = points.shape
-    if max_updates is None:
-        max_updates = DEFAULT_UPDATE_FACTOR * n
-
     if solver == "feasibility":
         w = _feasible_separator(points, labels)
         if w is not None:
             return LearnResult(Halfspace(w), 0, True, 0, "feasibility")
-        # fall through to the perceptron best-effort path
-    elif solver != "perceptron":
+        update_factor = 1
+    elif solver == "perceptron":
+        update_factor = DEFAULT_UPDATE_FACTOR
+    else:
         raise ValueError("solver must be 'perceptron' or 'feasibility'")
+    if max_updates is None:
+        max_updates = update_factor * n
 
     w = np.zeros(d)
     best_w = None
@@ -102,9 +211,10 @@ def learn_consistent(
         w = w + labels[i] * points[i]
         updates += 1
 
-    w_feasible = _feasible_separator(points, labels)
-    if w_feasible is not None:
-        return LearnResult(Halfspace(w_feasible), 0, True, updates, "feasibility")
+    if solver == "perceptron":
+        w_feasible = _feasible_separator(points, labels)
+        if w_feasible is not None:
+            return LearnResult(Halfspace(w_feasible), 0, True, updates, "feasibility")
 
     if best_w is None or not np.any(best_w):
         # never saw a usable iterate (e.g. cap of zero); fall back to a

@@ -49,9 +49,13 @@ class PipelineConstants:
     caps phase 3 at ceil(factor * m_sqrt / eps) fresh instances examined:
     the wedge draw counts the instances a rejection sampler would have
     examined, and phase 3 falls back to h1 when that count passes the cap.
-    ``learner_solver`` picks the consistent-learner route ("feasibility" by
-    default: near-boundary training sets give the perceptron pathologically
-    thin margins; both routes satisfy the same zero-training-error contract).
+    ``learner_solver`` picks the consistent-learner route: "feasibility" (the
+    default) returns the max-margin separator, the point of the training
+    set's signed hull nearest the origin, and flags a sample it finds not
+    separable after a best-effort perceptron of n updates; "perceptron" runs
+    the perceptron first, which near-boundary training sets give
+    pathologically thin margins.  Both routes satisfy the same
+    zero-training-error contract.
     """
 
     phase2_sample_factor: float = 4.0

@@ -1,27 +1,51 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from crowdpac import learner
 from crowdpac.geometry import (
+    Distribution,
     Halfspace,
     ProblemConfig,
     random_unit_vector,
     sample_instances,
     sample_size,
 )
-from crowdpac.learner import learn_consistent
+from crowdpac.learner import _feasible_separator, learn_consistent
 
 from conftest import make_rng
 
 SOLVERS = ("perceptron", "feasibility")
 
 
-def separable_sample(seed, n=60, d=3):
+def separable_sample(seed, n=60, d=3, distribution=Distribution.UNIT_SPHERE):
     rng = make_rng(90, seed, d)
     gt = Halfspace(random_unit_vector(d, rng))
-    points = sample_instances(ProblemConfig(dimension=d), n, rng)
+    points = sample_instances(ProblemConfig(dimension=d, distribution=distribution), n, rng)
     return points, gt.predict(points), gt
+
+
+def lp_feasible_point(points, labels):
+    """Some w with y_i (w . x_i) >= 1 from scipy's LP; None when it reports
+    the program infeasible."""
+    d = points.shape[1]
+    res = linprog(
+        c=np.zeros(d),
+        A_ub=-(np.asarray(labels, dtype=float)[:, None] * points),
+        b_ub=-np.ones(len(points)),
+        bounds=[(None, None)] * d,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.x if res.status == 0 else None
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -69,6 +93,24 @@ def test_nonseparable_returns_flagged_best_effort():
     assert result.updates == 500
 
 
+def test_infeasible_direct_solve_is_final(monkeypatch):
+    points, labels, _ = separable_sample(7, n=231, d=2)
+    labels = labels.copy()
+    labels[0] = -labels[0]
+    assert lp_feasible_point(points, labels) is None
+    solve = learner._feasible_separator
+    calls = []
+    monkeypatch.setattr(
+        learner, "_feasible_separator", lambda p, y: calls.append(len(p)) or solve(p, y))
+    start = time.perf_counter()
+    result = learn_consistent(points, labels, solver="feasibility")
+    assert time.perf_counter() - start < 1.0
+    assert calls == [231]
+    assert not result.consistent and result.training_errors >= 1
+    # the best-effort perceptron is capped at n updates on this route
+    assert result.updates == 231
+
+
 def test_update_cap_falls_back_to_feasibility():
     points, labels, _ = separable_sample(5, n=100)
     result = learn_consistent(points, labels, max_updates=1)
@@ -111,3 +153,100 @@ def test_generalization_grid(eps, d):
         err = np.mean(result.hypothesis.predict(holdout) != gt.predict(holdout))
         ok += err <= math.sqrt(eps)
     assert ok / seeds >= 0.99
+
+
+@pytest.mark.parametrize("distribution", list(Distribution))
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_separator_is_the_least_norm_unit_margin_solution(d, distribution):
+    # the LP returns some feasible point; ours must have margins >= 1 with
+    # the smallest at 1, and a norm no larger than any feasible point's
+    for seed in range(9):
+        n = (5, 60, 231)[seed % 3]
+        points, labels, _ = separable_sample(seed, n=n, d=d, distribution=distribution)
+        result = learn_consistent(points, labels, solver="feasibility")
+        assert result.consistent and result.solver == "feasibility"
+        w = result.hypothesis.weights
+        w_lp = lp_feasible_point(points, labels)
+        assert w_lp is not None
+        margins = labels * (points @ w)
+        assert margins.min() >= 1 - 1e-9
+        assert abs(margins.min() - 1) <= 1e-6
+        assert np.linalg.norm(w) <= np.linalg.norm(w_lp) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_separator_keeps_unit_margin_on_thin_margins(d):
+    # flipping the label nearest the boundary leaves a separable sample with
+    # a thin margin, where w = x / (x . x) amplifies x's rounding by ||w||^2;
+    # the smallest margin must still be 1 to rounding of order eps * ||w||
+    for seed in range(8):
+        points, labels, gt = separable_sample(seed, n=3224, d=d)
+        labels = labels.copy()
+        nearest = np.argmin(np.abs(points @ gt.weights))
+        labels[nearest] = -labels[nearest]
+        result = learn_consistent(points, labels, solver="feasibility")
+        assert result.consistent
+        w = result.hypothesis.weights
+        margins = labels * (points @ w)
+        assert abs(margins.min() - 1) <= 64 * np.finfo(float).eps * np.linalg.norm(w)
+        assert np.linalg.norm(w) <= np.linalg.norm(lp_feasible_point(points, labels)) * (1 + 1e-9)
+
+
+INFEASIBLE = {
+    "opposite-labelled duplicates": ([[0.3, -1.2], [1.0, 0.5], [0.3, -1.2]], [1, 1, -1]),
+    "zero row": ([[1.0, 0.5], [0.0, 0.0], [-0.2, 0.9]], [1, 1, -1]),
+    "x and -x both +1": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1, 1, -1, -1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFEASIBLE))
+def test_separator_is_none_on_infeasible_programs(name):
+    points, labels = (np.asarray(a, dtype=float) for a in INFEASIBLE[name])
+    assert lp_feasible_point(points, labels) is None
+    assert _feasible_separator(points, labels) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_separator_is_none_exactly_when_the_lp_is_infeasible(d):
+    # one flipped label leaves some samples separable and others not
+    verdicts = set()
+    for seed in range(12):
+        points, labels, _ = separable_sample(seed, n=(8, 30, 231)[seed % 3], d=d)
+        labels = labels.astype(float)
+        labels[seed % len(labels)] *= -1
+        feasible = lp_feasible_point(points, labels) is not None
+        assert (_feasible_separator(points, labels) is not None) == feasible
+        verdicts.add(feasible)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_row_order_leaves_predictions_unchanged(d):
+    points, labels, _ = separable_sample(8, n=231, d=d)
+    order = make_rng(95, d).permutation(len(points))
+    a = learn_consistent(points, labels, solver="feasibility")
+    b = learn_consistent(points[order], labels[order], solver="feasibility")
+    probe = make_rng(96, d).standard_normal((1000, d))
+    assert np.array_equal(a.hypothesis.predict(probe), b.hypothesis.predict(probe))
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test-only dependency: one boosted and one natural trial must
+    # not import it
+    code = textwrap.dedent("""
+        import sys
+        from crowdpac import (
+            CrowdConfig, FilterConfig, PipelineConstants, ProblemConfig, run_boost, run_natural,
+        )
+        problem = ProblemConfig(dimension=2, target_error=0.1)
+        crowd = CrowdConfig(alpha=0.35, beta=0.35)
+        run_boost(problem, crowd, PipelineConstants(), FilterConfig(), 0, 2000)
+        run_natural(problem, crowd, PipelineConstants(), 0, 2000)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
