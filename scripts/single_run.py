@@ -35,11 +35,10 @@ def main():
 
     problem = ProblemConfig(dimension=args.d, target_error=args.epsilon)
     crowd = CrowdConfig(alpha=args.alpha, beta=args.beta)
-    constants = PipelineConstants()
 
-    describe(run_boost(problem, crowd, constants, FilterConfig(), args.seed, args.holdout))
+    describe(run_boost(problem, crowd, PipelineConstants(), FilterConfig(), args.seed, args.holdout))
     print()
-    describe(run_natural(problem, crowd, constants, args.seed, args.holdout))
+    describe(run_natural(problem, crowd, args.seed, args.holdout))
 
 
 if __name__ == "__main__":

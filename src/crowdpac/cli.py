@@ -37,10 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (or a .json path for JSON rows)")
         p.add_argument("--algorithm", choices=["boost", "natural", "both"],
                        help="override the configured algorithm")
-        p.add_argument("--seeds", type=int,
-                       help="run seeds 0..N-1, overriding the config")
-        p.add_argument("--seed-list",
-                       help='seeds as in a config file ("3,5,8" or "0:10"), overriding the config')
+        seeds = p.add_mutually_exclusive_group()
+        seeds.add_argument("--seeds", type=int,
+                           help="run seeds 0..N-1, overriding the config")
+        seeds.add_argument("--seed-list",
+                           help='seeds as in a config file ("3,5,8" or "0:10"), overriding the config')
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     run_p = sub.add_parser("run", help="run one experiment batch")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .compare_label import SortedLabeledSet, compare_and_label
 from .geometry import Halfspace
-from .oracles import CrowdOracle
+from .oracles import CrowdOracle, next_odd
 
 
 # verdict codes of the walk
@@ -70,8 +70,7 @@ def default_walk_length(epsilon: float) -> int:
     """Next odd count >= ceil(4 * log2(1/epsilon))."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    n = max(1, math.ceil(4.0 * math.log2(1.0 / epsilon)))
-    return n if n % 2 == 1 else n + 1
+    return next_odd(max(1, math.ceil(4.0 * math.log2(1.0 / epsilon))))
 
 
 @dataclass

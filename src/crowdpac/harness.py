@@ -207,7 +207,6 @@ _CONFIG_KEYS = (
     _Key("c_w", "constants.mixture_size_factor", float),
     _Key("c_b", "filter.subsample_constant", float),
     _Key("r_max_factor", "constants.rejection_budget_factor", float),
-    _Key("learner_solver", "constants.learner_solver", str),
     _Key("walk_length", "filter.walk_length", int, none="auto"),
     _Key("per_round_confidence", "filter.per_round_confidence", float, none="auto"),
     _Key("early_stop_target", "filter.early_stop_target", int, none="none"),
@@ -316,7 +315,7 @@ def _execute_trial(task) -> ReportRow:
     if algorithm == "boost":
         report = run_boost(cfg.problem, cfg.crowd, cfg.constants, cfg.filter, seed, cfg.holdout_size)
     else:
-        report = run_natural(cfg.problem, cfg.crowd, cfg.constants, seed, cfg.holdout_size)
+        report = run_natural(cfg.problem, cfg.crowd, seed, cfg.holdout_size)
     return row_from_report(report, cfg)
 
 

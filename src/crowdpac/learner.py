@@ -11,13 +11,12 @@ finds x with Wolfe's minimum-norm-point algorithm (Wolfe, Math. Programming
 1976) in numpy alone.  It ends after finitely many cycles and returns None
 when x is the origin, i.e. the sample is not separable.
 
-Both routes keep the same zero-training-error contract.  "feasibility"
-solves for the nearest point directly; its verdict is final, and on a sample
-that is not separable the perceptron, capped at n updates, only picks a
-best-effort hypothesis.  "perceptron" runs the perceptron over repeated
-passes, capped at 10000 n updates, and solves once when the cap runs out.
-A best-effort hypothesis comes back with ``consistent=False`` so callers can
-flag it without aborting.  Deterministic given the input order.
+On a separable sample the learner returns that separator: zero training
+error, as the realizable PAC setting asks of its consistent-hypothesis
+oracle.  The nearest-point verdict on separability is final; on a sample it
+finds not separable, a pocket perceptron capped at n updates picks a
+best-effort hypothesis, which comes back with ``consistent=False`` so
+callers can flag it without aborting.  Deterministic given the input order.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Halfspace
-
-DEFAULT_UPDATE_FACTOR = 10_000  # perceptron route: cap = factor * sample size
 
 # Wolfe's algorithm stops once min_i z_i . x >= x . x - _GAP_TOL * max_i z_i . z_i,
 # a gap at the level of x's rounding error.
@@ -48,7 +45,6 @@ class LearnResult:
     training_errors: int
     consistent: bool
     updates: int
-    solver: str  # "perceptron" or "feasibility"
 
 
 def _validate_sample(points, labels):
@@ -166,59 +162,32 @@ def _refined(w, support, gram):
         return w
 
 
-def learn_consistent(
-    points,
-    labels,
-    max_updates: int | None = None,
-    solver: str = "perceptron",
-) -> LearnResult:
+def learn_consistent(points, labels) -> LearnResult:
     """Fit a halfspace with zero training error on a separable sample.
 
-    ``solver`` is "perceptron" (reference path, nearest-point solve when its
-    update cap runs out) or "feasibility" (the nearest-point solve directly:
-    same contract, faster on thin margins).  The direct solve's verdict on
-    separability is final: when it finds none, the perceptron only picks the
-    best-effort hypothesis, capped at n updates unless ``max_updates`` says
-    otherwise.
+    The max-margin separator when the sample is separable; otherwise the
+    pocket perceptron's best iterate after n updates, flagged inconsistent.
     """
     points, labels = _validate_sample(points, labels)
-    n, d = points.shape
-    if solver == "feasibility":
-        w = _feasible_separator(points, labels)
-        if w is not None:
-            return LearnResult(Halfspace(w), 0, True, 0, "feasibility")
-        update_factor = 1
-    elif solver == "perceptron":
-        update_factor = DEFAULT_UPDATE_FACTOR
-    else:
-        raise ValueError("solver must be 'perceptron' or 'feasibility'")
-    if max_updates is None:
-        max_updates = update_factor * n
+    w = _feasible_separator(points, labels)
+    if w is not None:
+        return LearnResult(Halfspace(w), 0, True, 0)
 
+    n, d = points.shape
     w = np.zeros(d)
-    best_w = None
-    best_errors = n + 1
-    updates = 0
-    while updates < max_updates:
-        margins = labels * (points @ w)
-        violated = np.nonzero(margins <= 0)[0]
+    best_w, best_errors = w, n + 1
+    for updates in range(n):
+        violated = np.nonzero(labels * (points @ w) <= 0)[0]
         if violated.size == 0:
-            return LearnResult(Halfspace(w), 0, True, updates, "perceptron")
+            return LearnResult(Halfspace(w), 0, True, updates)
         if violated.size < best_errors:
-            best_errors = int(violated.size)
-            best_w = w.copy()
+            best_w, best_errors = w, int(violated.size)
         i = violated[0]
         w = w + labels[i] * points[i]
-        updates += 1
 
-    if solver == "perceptron":
-        w_feasible = _feasible_separator(points, labels)
-        if w_feasible is not None:
-            return LearnResult(Halfspace(w_feasible), 0, True, updates, "feasibility")
-
-    if best_w is None or not np.any(best_w):
-        # never saw a usable iterate (e.g. cap of zero); fall back to a
-        # deterministic nonzero direction
-        best_w = points[0].copy() * labels[0]
+    if not np.any(best_w):
+        # the best iterate is the zero vector; fall back to a deterministic
+        # nonzero direction
+        best_w = points[0] * labels[0]
         best_errors = _training_errors(points, labels, best_w)
-    return LearnResult(Halfspace(best_w), best_errors, False, updates, "perceptron")
+    return LearnResult(Halfspace(best_w), best_errors, False, n)

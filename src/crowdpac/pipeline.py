@@ -49,27 +49,17 @@ class PipelineConstants:
     caps phase 3 at ceil(factor * m_sqrt / eps) fresh instances examined:
     the wedge draw counts the instances a rejection sampler would have
     examined, and phase 3 falls back to h1 when that count passes the cap.
-    ``learner_solver`` picks the consistent-learner route: "feasibility" (the
-    default) returns the max-margin separator, the point of the training
-    set's signed hull nearest the origin, and flags a sample it finds not
-    separable after a best-effort perceptron of n updates; "perceptron" runs
-    the perceptron first, which near-boundary training sets give
-    pathologically thin margins.  Both routes satisfy the same
-    zero-training-error contract.
     """
 
     phase2_sample_factor: float = 4.0
     mixture_size_factor: float = 2.0
     rejection_budget_factor: float = 10.0
-    learner_solver: str = "feasibility"
 
     def __post_init__(self):
         for name in ("phase2_sample_factor", "mixture_size_factor", "rejection_budget_factor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"constants.{name} must be positive and finite")
-        if self.learner_solver not in ("perceptron", "feasibility"):
-            raise ValueError("constants.learner_solver must be 'perceptron' or 'feasibility'")
 
 
 @dataclass
@@ -169,27 +159,39 @@ def draw_equal_mixture(
     return points, labels, pick_d
 
 
-def phase1(
-    problem: ProblemConfig,
-    constants: PipelineConstants,
-    oracle: CrowdOracle,
-) -> PhaseReport:
-    """Weak hypothesis from a sorted-and-labeled sample of size m_sqrt."""
-    m_sqrt = weak_sample_size(problem)
-    labels_before = oracle.ledger.label_queries
-    comps_before = oracle.ledger.comparison_queries
-    sample = sample_instances(problem, m_sqrt, oracle.rng)
-    labeled = compare_and_label(sample, PHASE_CONFIDENCE, oracle)
-    fit = learn_consistent(labeled.instances, labeled.labels, solver=constants.learner_solver)
-    flags = [] if fit.consistent else ["phase1:inconsistent_training_set"]
+def _report(name, hypothesis, oracle, ledger_before, sizes, flags) -> PhaseReport:
+    """A phase's report, charged the queries spent since ``ledger_before``,
+    a copy of the oracle's ledger."""
     return PhaseReport(
-        name="phase1",
-        hypothesis=fit.hypothesis,
-        labels_used=oracle.ledger.label_queries - labels_before,
-        comparisons_used=oracle.ledger.comparison_queries - comps_before,
-        sample_sizes={"S1": m_sqrt},
+        name=name,
+        hypothesis=hypothesis,
+        labels_used=oracle.ledger.label_queries - ledger_before.label_queries,
+        comparisons_used=oracle.ledger.comparison_queries - ledger_before.comparison_queries,
+        sample_sizes=sizes,
         flags=flags,
     )
+
+
+def _fit(name: str, points, labels) -> tuple[Halfspace, list[str]]:
+    """The consistent learner's hypothesis, and ``<name>:inconsistent_training_set``
+    among the flags when the sample is not separable."""
+    fit = learn_consistent(points, labels)
+    return fit.hypothesis, [] if fit.consistent else [f"{name}:inconsistent_training_set"]
+
+
+def _sort_label_learn(name: str, sample, oracle: CrowdOracle, sizes) -> PhaseReport:
+    """Sort and label an already drawn sample with the crowd, then learn."""
+    ledger_before = replace(oracle.ledger)
+    labeled = compare_and_label(sample, PHASE_CONFIDENCE, oracle)
+    hypothesis, flags = _fit(name, labeled.instances, labeled.labels)
+    return _report(name, hypothesis, oracle, ledger_before, sizes, flags)
+
+
+def phase1(problem: ProblemConfig, oracle: CrowdOracle) -> PhaseReport:
+    """Weak hypothesis from a sorted-and-labeled sample of size m_sqrt."""
+    m_sqrt = weak_sample_size(problem)
+    sample = sample_instances(problem, m_sqrt, oracle.rng)
+    return _sort_label_learn("phase1", sample, oracle, {"S1": m_sqrt})
 
 
 def phase2(
@@ -204,8 +206,7 @@ def phase2(
     eps = problem.target_error
     sqrt_eps = math.sqrt(eps)
     m_sqrt = weak_sample_size(problem)
-    labels_before = oracle.ledger.label_queries
-    comps_before = oracle.ledger.comparison_queries
+    ledger_before = replace(oracle.ledger)
 
     n2 = math.ceil(constants.phase2_sample_factor * math.ceil(m_sqrt / sqrt_eps))
     big_sample = sample_instances(problem, n2, oracle.rng)
@@ -235,36 +236,23 @@ def phase2(
     if not np.any(disagrees):
         flags.append("phase2:no_mistakes_found")
         hypothesis = h1
-    elif np.all(disagrees):
-        # cannot happen unless labeling failed wholesale; train on what we have
-        flags.append("phase2:agreement_side_empty")
-        fit = learn_consistent(labeled.instances, labeled.labels, solver=constants.learner_solver)
-        if not fit.consistent:
-            flags.append("phase2:inconsistent_training_set")
-        hypothesis = fit.hypothesis
-        sizes["W"] = len(labeled)
     else:
-        n_mix = math.ceil(constants.mixture_size_factor * m_sqrt)
-        mix_x, mix_y, _ = draw_equal_mixture(
-            (labeled.instances[disagrees], labeled.labels[disagrees]),
-            (labeled.instances[~disagrees], labeled.labels[~disagrees]),
-            n_mix,
-            oracle.rng,
-        )
-        fit = learn_consistent(mix_x, mix_y, solver=constants.learner_solver)
-        if not fit.consistent:
-            flags.append("phase2:inconsistent_training_set")
-        hypothesis = fit.hypothesis
-        sizes["W"] = n_mix
+        if np.all(disagrees):
+            # cannot happen unless labeling failed wholesale; train on what we have
+            flags.append("phase2:agreement_side_empty")
+            train_x, train_y = labeled.instances, labeled.labels
+        else:
+            train_x, train_y, _ = draw_equal_mixture(
+                (labeled.instances[disagrees], labeled.labels[disagrees]),
+                (labeled.instances[~disagrees], labeled.labels[~disagrees]),
+                math.ceil(constants.mixture_size_factor * m_sqrt),
+                oracle.rng,
+            )
+        hypothesis, inconsistent = _fit("phase2", train_x, train_y)
+        flags += inconsistent
+        sizes["W"] = len(train_y)
 
-    return PhaseReport(
-        name="phase2",
-        hypothesis=hypothesis,
-        labels_used=oracle.ledger.label_queries - labels_before,
-        comparisons_used=oracle.ledger.comparison_queries - comps_before,
-        sample_sizes=sizes,
-        flags=flags,
-    )
+    return _report("phase2", hypothesis, oracle, ledger_before, sizes, flags)
 
 
 def _orthonormal_basis(vectors) -> np.ndarray:
@@ -342,43 +330,18 @@ def phase3(
     oracle: CrowdOracle,
 ) -> PhaseReport:
     """Hypothesis trained on the disagreement region of h1 and h2."""
-    if np.array_equal(h1.weights, h2.weights):
-        return PhaseReport(
-            name="phase3",
-            hypothesis=h1,
-            labels_used=0,
-            comparisons_used=0,
-            sample_sizes={"S3": 0, "S3_draws": 0},
-            flags=["phase3:negligible_disagreement"],
-        )
-    eps = problem.target_error
     m_sqrt = weak_sample_size(problem)
-    max_draws = math.ceil(constants.rejection_budget_factor * m_sqrt / eps)
-    sample, drawn = rejection_sample_disagreements(
-        h1, h2, problem, m_sqrt, max_draws, oracle.rng
-    )
-    if len(sample) < m_sqrt:
-        return PhaseReport(
-            name="phase3",
-            hypothesis=h1,
-            labels_used=0,
-            comparisons_used=0,
-            sample_sizes={"S3": len(sample), "S3_draws": drawn},
-            flags=["phase3:negligible_disagreement"],
+    if np.array_equal(h1.weights, h2.weights):
+        sample, drawn = np.empty((0, problem.dimension)), 0
+    else:
+        max_draws = math.ceil(constants.rejection_budget_factor * m_sqrt / problem.target_error)
+        sample, drawn = rejection_sample_disagreements(
+            h1, h2, problem, m_sqrt, max_draws, oracle.rng
         )
-    labels_before = oracle.ledger.label_queries
-    comps_before = oracle.ledger.comparison_queries
-    labeled = compare_and_label(sample, PHASE_CONFIDENCE, oracle)
-    fit = learn_consistent(labeled.instances, labeled.labels, solver=constants.learner_solver)
-    flags = [] if fit.consistent else ["phase3:inconsistent_training_set"]
-    return PhaseReport(
-        name="phase3",
-        hypothesis=fit.hypothesis,
-        labels_used=oracle.ledger.label_queries - labels_before,
-        comparisons_used=oracle.ledger.comparison_queries - comps_before,
-        sample_sizes={"S3": m_sqrt, "S3_draws": drawn},
-        flags=flags,
-    )
+    sizes = {"S3": len(sample), "S3_draws": drawn}
+    if len(sample) < m_sqrt:
+        return PhaseReport("phase3", h1, 0, 0, sizes, ["phase3:negligible_disagreement"])
+    return _sort_label_learn("phase3", sample, oracle, sizes)
 
 
 def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
@@ -427,7 +390,7 @@ def run_boost(
     ground_truth = Halfspace(random_unit_vector(problem.dimension, rng))
     oracle = CrowdOracle(ground_truth, crowd, rng, QueryLedger())
 
-    p1 = phase1(problem, constants, oracle)
+    p1 = phase1(problem, oracle)
     p2 = phase2(p1.hypothesis, problem, constants, filter_cfg, oracle)
     p3 = phase3(p1.hypothesis, p2.hypothesis, problem, constants, oracle)
     combined = majority_combine(p1.hypothesis, p2.hypothesis, p3.hypothesis)
@@ -453,7 +416,6 @@ def run_boost(
 def run_natural(
     problem: ProblemConfig,
     crowd: CrowdConfig,
-    constants: PipelineConstants,
     seed: int,
     holdout_size: int = 20_000,
 ) -> RunReport:
@@ -465,17 +427,8 @@ def run_natural(
 
     m_ref = reference_sample_size(problem)
     sample = sample_instances(problem, m_ref, rng)
-    labeled = compare_and_label(sample, PHASE_CONFIDENCE, oracle)
-    fit = learn_consistent(labeled.instances, labeled.labels, solver=constants.learner_solver)
-    report = PhaseReport(
-        name="natural",
-        hypothesis=fit.hypothesis,
-        labels_used=oracle.ledger.label_queries,
-        comparisons_used=oracle.ledger.comparison_queries,
-        sample_sizes={"S1": m_ref},
-        flags=[] if fit.consistent else ["natural:inconsistent_training_set"],
-    )
-    error = holdout_error(fit.hypothesis, ground_truth, problem, holdout_size, rng)
+    report = _sort_label_learn("natural", sample, oracle, {"S1": m_ref})
+    error = holdout_error(report.hypothesis, ground_truth, problem, holdout_size, rng)
     lam_l, lam_c = overheads(
         oracle.ledger.label_queries, oracle.ledger.comparison_queries, problem
     )

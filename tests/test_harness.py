@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +35,8 @@ seeds = 0:2
 
 SMALL = MINIMAL + "holdout_size = 1000\n"
 
-EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE = ROOT / "configs" / "example.cfg"
 
 
 def strip_wall_clock(csv_text: str) -> list[str]:
@@ -56,9 +60,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^crowd\.alpha"):
             parse_config_text(MINIMAL.replace("alpha = 0.35", "alpha = 0.6"))
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text(MINIMAL + "gamma = 1\n")
+        # the learner has one route, so its former selector is unknown too
+        text = SMALL + "learner_solver = perceptron\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=rf"^unknown config key 'learner_solver' \(line {line}\)$"):
+            parse_config_text(text)
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text(text)
+        out_dir = tmp_path / "x"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "unknown config key 'learner_solver'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="expected"):
@@ -339,6 +354,7 @@ class TestCli:
             (["run", "--seed-list", "1,x"], "seeds: cannot parse '1,x'"),
             (["run", "--seed-list", "0:y"], "seeds: cannot parse '0:y'"),
             (["sweep", "--epsilons", "0.2,abc"], "epsilons: cannot parse 'abc'"),
+            (["run", "--seeds", "5", "--seed-list", "3"], "not allowed with argument --seeds"),
         ],
     )
     def test_repeated_or_negative_values_exit_code(self, tmp_path, capsys, flags, message):
@@ -385,3 +401,15 @@ class TestCli:
             lambda grid, seed: [CheckResult("stub", False, "forced failure")],
         )
         assert main(["verify"]) == 1
+
+
+def test_single_run_script():
+    # the script calls the pipeline directly, outside the CLI and harness
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "single_run.py"), "--epsilon", "0.2", "--holdout", "1000"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    starts = [line.split(":")[0] for line in done.stdout.splitlines()]
+    assert "boost seed=0" in starts and "natural seed=0" in starts

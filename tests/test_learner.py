@@ -23,8 +23,6 @@ from crowdpac.learner import _feasible_separator, learn_consistent
 
 from conftest import make_rng
 
-SOLVERS = ("perceptron", "feasibility")
-
 
 def separable_sample(seed, n=60, d=3, distribution=Distribution.UNIT_SPHERE):
     rng = make_rng(90, seed, d)
@@ -48,37 +46,34 @@ def lp_feasible_point(points, labels):
     return res.x if res.status == 0 else None
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_threshold_data_one_dimensional(solver):
+def test_threshold_data_one_dimensional():
     points = np.array([[-2.0], [-1.0], [1.0], [3.0]])
     labels = np.array([-1, -1, 1, 1])
-    result = learn_consistent(points, labels, solver=solver)
+    result = learn_consistent(points, labels)
     assert result.consistent and result.training_errors == 0
     assert result.hypothesis.weights[0] > 0
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_consistency_on_separable_samples(solver):
+def test_consistency_on_separable_samples():
     for seed in range(25):
         points, labels, _ = separable_sample(seed)
-        result = learn_consistent(points, labels, solver=solver)
+        result = learn_consistent(points, labels)
         assert result.consistent
         assert np.array_equal(result.hypothesis.predict(points), labels)
 
 
-def test_perceptron_rescaling_leaves_predictions_unchanged():
+def test_rescaling_leaves_predictions_unchanged():
     points, labels, _ = separable_sample(3)
     base = learn_consistent(points, labels)
     scaled = learn_consistent(points * 37.5, labels)
-    # perceptron weights scale linearly with the data: identical predictions
+    # the max-margin weights scale inversely with the data: identical predictions
     probe = make_rng(91).standard_normal((200, points.shape[1]))
     assert np.array_equal(base.hypothesis.predict(probe), scaled.hypothesis.predict(probe))
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_rescaling_keeps_training_consistency(solver):
+def test_rescaling_keeps_training_consistency():
     points, labels, _ = separable_sample(4)
-    result = learn_consistent(points * 0.003, labels, solver=solver)
+    result = learn_consistent(points * 0.003, labels)
     assert result.consistent
     assert np.array_equal(result.hypothesis.predict(points * 0.003), labels)
 
@@ -87,10 +82,10 @@ def test_nonseparable_returns_flagged_best_effort():
     # +1 on both x and -x cannot be realized through the origin
     points = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     labels = np.array([1, 1, -1, -1])
-    result = learn_consistent(points, labels, max_updates=500)
+    result = learn_consistent(points, labels)
     assert not result.consistent
     assert result.training_errors >= 1
-    assert result.updates == 500
+    assert result.updates == len(points)
 
 
 def test_infeasible_direct_solve_is_final(monkeypatch):
@@ -103,21 +98,12 @@ def test_infeasible_direct_solve_is_final(monkeypatch):
     monkeypatch.setattr(
         learner, "_feasible_separator", lambda p, y: calls.append(len(p)) or solve(p, y))
     start = time.perf_counter()
-    result = learn_consistent(points, labels, solver="feasibility")
+    result = learn_consistent(points, labels)
     assert time.perf_counter() - start < 1.0
     assert calls == [231]
     assert not result.consistent and result.training_errors >= 1
-    # the best-effort perceptron is capped at n updates on this route
+    # the best-effort perceptron is capped at n updates
     assert result.updates == 231
-
-
-def test_update_cap_falls_back_to_feasibility():
-    points, labels, _ = separable_sample(5, n=100)
-    result = learn_consistent(points, labels, max_updates=1)
-    # one perceptron update cannot finish, but the data is separable
-    assert result.consistent
-    assert result.solver == "feasibility"
-    assert np.array_equal(result.hypothesis.predict(points), labels)
 
 
 def test_deterministic_given_order():
@@ -132,8 +118,6 @@ def test_input_validation():
         learn_consistent(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
         learn_consistent(np.ones((3, 2)), np.array([1, 0, -1]))
-    with pytest.raises(ValueError):
-        learn_consistent(np.ones((3, 2)), np.ones(3), solver="svm")
 
 
 @pytest.mark.parametrize("eps,d", [(0.04, 2), (0.04, 5), (0.1, 2), (0.1, 5)])
@@ -163,8 +147,8 @@ def test_separator_is_the_least_norm_unit_margin_solution(d, distribution):
     for seed in range(9):
         n = (5, 60, 231)[seed % 3]
         points, labels, _ = separable_sample(seed, n=n, d=d, distribution=distribution)
-        result = learn_consistent(points, labels, solver="feasibility")
-        assert result.consistent and result.solver == "feasibility"
+        result = learn_consistent(points, labels)
+        assert result.consistent
         w = result.hypothesis.weights
         w_lp = lp_feasible_point(points, labels)
         assert w_lp is not None
@@ -184,7 +168,7 @@ def test_separator_keeps_unit_margin_on_thin_margins(d):
         labels = labels.copy()
         nearest = np.argmin(np.abs(points @ gt.weights))
         labels[nearest] = -labels[nearest]
-        result = learn_consistent(points, labels, solver="feasibility")
+        result = learn_consistent(points, labels)
         assert result.consistent
         w = result.hypothesis.weights
         margins = labels * (points @ w)
@@ -224,8 +208,8 @@ def test_separator_is_none_exactly_when_the_lp_is_infeasible(d):
 def test_row_order_leaves_predictions_unchanged(d):
     points, labels, _ = separable_sample(8, n=231, d=d)
     order = make_rng(95, d).permutation(len(points))
-    a = learn_consistent(points, labels, solver="feasibility")
-    b = learn_consistent(points[order], labels[order], solver="feasibility")
+    a = learn_consistent(points, labels)
+    b = learn_consistent(points[order], labels[order])
     probe = make_rng(96, d).standard_normal((1000, d))
     assert np.array_equal(a.hypothesis.predict(probe), b.hypothesis.predict(probe))
 
@@ -241,7 +225,7 @@ def test_package_runs_without_scipy():
         problem = ProblemConfig(dimension=2, target_error=0.1)
         crowd = CrowdConfig(alpha=0.35, beta=0.35)
         run_boost(problem, crowd, PipelineConstants(), FilterConfig(), 0, 2000)
-        run_natural(problem, crowd, PipelineConstants(), 0, 2000)
+        run_natural(problem, crowd, 0, 2000)
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

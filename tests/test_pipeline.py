@@ -49,7 +49,7 @@ def fresh_oracle(crowd, *key):
 class TestPhase1:
     def test_noiseless_consistent_training(self):
         oracle, rng = fresh_oracle(NOISELESS, 200)
-        report = phase1(PROBLEM, CONSTANTS, oracle)
+        report = phase1(PROBLEM, oracle)
         assert report.flags == []
         assert report.sample_sizes == {"S1": weak_sample_size(PROBLEM)}
         err = holdout_error(report.hypothesis, oracle.ground_truth, PROBLEM, 20_000, rng)
@@ -57,7 +57,7 @@ class TestPhase1:
 
     def test_query_accounting(self):
         oracle, _ = fresh_oracle(CROWD, 201)
-        report = phase1(PROBLEM, CONSTANTS, oracle)
+        report = phase1(PROBLEM, oracle)
         k1, k2 = vote_sizes(weak_sample_size(PROBLEM), 1e-3, CROWD)
         assert report.labels_used == oracle.ledger.label_queries
         assert report.comparisons_used == oracle.ledger.comparison_queries
@@ -69,7 +69,7 @@ class TestPhase1:
         ok = 0
         for seed in range(100):
             oracle, rng = fresh_oracle(CROWD, 202, seed)
-            report = phase1(PROBLEM, CONSTANTS, oracle)
+            report = phase1(PROBLEM, oracle)
             err = holdout_error(report.hypothesis, oracle.ground_truth, PROBLEM, 20_000, rng)
             ok += err <= target
         assert ok >= 95
@@ -87,7 +87,7 @@ class TestPhase2:
         m_sqrt = weak_sample_size(PROBLEM)
         for seed in range(10):
             oracle, _ = fresh_oracle(CROWD, 211, seed)
-            h1 = phase1(PROBLEM, CONSTANTS, oracle).hypothesis
+            h1 = phase1(PROBLEM, oracle).hypothesis
             report = phase2(h1, PROBLEM, CONSTANTS, FilterConfig(), oracle)
             sizes = report.sample_sizes
             assert sizes["S2"] == math.ceil(4.0 * math.ceil(m_sqrt / 0.2))
@@ -101,7 +101,7 @@ class TestPhase2:
 
     def test_ledger_deltas(self):
         oracle, _ = fresh_oracle(CROWD, 212)
-        h1 = phase1(PROBLEM, CONSTANTS, oracle).hypothesis
+        h1 = phase1(PROBLEM, oracle).hypothesis
         before = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
         report = phase2(h1, PROBLEM, CONSTANTS, FilterConfig(), oracle)
         assert report.labels_used == oracle.ledger.label_queries - before[0]
@@ -435,7 +435,7 @@ class TestRuns:
     def test_natural_noiseless_consistent_and_accurate(self):
         # a consistent halfspace still differs from the truth on a thin
         # wedge, so the holdout error is small but not exactly zero
-        report = run_natural(PROBLEM, NOISELESS, CONSTANTS, 3, 20_000)
+        report = run_natural(PROBLEM, NOISELESS, 3, 20_000)
         assert report.flags == []
         assert report.holdout_error <= 0.01
 
@@ -444,7 +444,7 @@ class TestRuns:
         for eps in (0.1, 0.025):
             problem = ProblemConfig(dimension=2, target_error=eps, vc_constant=2.0)
             values = [
-                run_natural(problem, CROWD, CONSTANTS, seed, 1_000).labeling_overhead
+                run_natural(problem, CROWD, seed, 1_000).labeling_overhead
                 for seed in range(5)
             ]
             means[eps] = np.mean(values)
@@ -455,7 +455,7 @@ class TestRuns:
         for eps in (0.1, 0.025):
             problem = ProblemConfig(dimension=2, target_error=eps, vc_constant=2.0)
             values = [
-                run_natural(problem, CROWD, CONSTANTS, seed, 1_000).comparison_overhead
+                run_natural(problem, CROWD, seed, 1_000).comparison_overhead
                 for seed in range(5)
             ]
             means[eps] = np.mean(values)
