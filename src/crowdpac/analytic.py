@@ -1,9 +1,16 @@
 """Closed-form analytic oracles used by property tests and `crowdpac verify`.
 
-These are independent of the simulation code paths they are used to check:
-the ruin probability is the classical biased-walk closed form, the majority
-error is an exact binomial tail summation, the Hoeffding bound is the plain
-exponential, and the disagreement of two halfspaces is their angle over pi.
+The ruin probability is the classical biased-walk closed form, the majority
+error an exact binomial tail summation, the Hoeffding bound the plain
+exponential, and the disagreement of two halfspaces their angle over pi.
+
+Two of them are also simulation code paths.  ``CrowdOracle.majority`` draws
+its wrong tags from ``majority_error_exact``; the vote-by-vote references in
+``tests/test_oracles.py`` and the Hoeffding domination check below test it.
+``holdout_error`` of one halfspace draws from ``halfspace_disagreement``;
+the Monte Carlo checks below and the full-dimension holdout references in
+``tests/test_pipeline.py`` test it.  The walk's first-majority law in
+``oracles`` is checked here against a vote-by-vote Monte Carlo.
 """
 
 from __future__ import annotations
@@ -66,18 +73,49 @@ def simulate_ruin(spec: WalkSpec, n_walks: int, rng: np.random.Generator,
     return float(np.mean(ruined))
 
 
+def simulate_first_majority(q: float, walk_length: int, toward: bool, n_walks: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Monte Carlo first odd rounds t <= walk_length at which the majority of
+    t votes, each correct with probability q, takes a sign that is the true
+    answer when ``toward``; walk_length + 2 for a walk without one."""
+    step_up = q if toward else 1.0 - q
+    total = np.zeros(n_walks, dtype=np.int64)
+    first = np.full(n_walks, walk_length + 2, dtype=np.int64)
+    for t in range(1, walk_length + 1):
+        total += np.where(rng.random(n_walks) < step_up, 1, -1)
+        if t % 2:
+            first[(total > 0) & (first > walk_length)] = t
+    return first
+
+
 def majority_error_exact(k: int, q: float) -> float:
     """Exact probability an odd-k majority of votes, each correct with
-    probability q > 1/2, comes out wrong: P(Bin(k, 1-q) >= ceil(k/2))."""
+    probability q > 1/2, comes out wrong: P(Bin(k, 1-q) >= ceil(k/2)).
+
+    The tail's terms fall from j = ceil(k/2) on, each the one before it
+    times (k-j)/(j+1) * (1-q)/q < 1.  The first is taken in logs, so no
+    binomial coefficient overflows at large k, and the sum stops once a
+    term drops below 1e-17 of it.
+    """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd count")
     if not (0.5 < q <= 1.0):
         raise ValueError("per-vote correctness q must lie in (1/2, 1]")
     p_wrong = 1.0 - q
-    total = 0.0
-    for j in range(math.ceil(k / 2), k + 1):
-        total += math.comb(k, j) * p_wrong**j * q ** (k - j)
-    return total
+    if p_wrong == 0.0:
+        return 0.0
+    first = (k + 1) // 2
+    term = math.exp(
+        math.lgamma(k + 1) - math.lgamma(first + 1) - math.lgamma(k - first + 1)
+        + first * math.log(p_wrong) + (k - first) * math.log(q)
+    )
+    terms = [term]
+    for j in range(first, k):
+        term *= (k - j) / (j + 1) * p_wrong / q
+        if term < 1e-17 * terms[0]:
+            break
+        terms.append(term)
+    return math.fsum(terms)
 
 
 def hoeffding_majority_bound(k: int, margin: float) -> float:
@@ -242,6 +280,32 @@ def verify_halfspace_disagreement(grid: str, rng: np.random.Generator) -> list[C
     return results
 
 
+def verify_first_majority_law(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    """The filter walk's per-side exit laws, correct votes pointing toward
+    the exit or away from it, against vote-by-vote walks."""
+    from .oracles import first_majority_law  # oracles imports this module
+
+    lengths = (19,) if grid == "small" else (3, 19, 27)
+    walks, tol = 100_000, 0.01
+    results = []
+    for q in (0.6, 0.85, 0.905):
+        for toward in (True, False):
+            for walk_length in lengths:
+                cdf = first_majority_law(q, walk_length, toward)
+                first = simulate_first_majority(q, walk_length, toward, walks, rng)
+                empirical = np.array([np.mean(first <= t) for t in range(1, walk_length + 1, 2)])
+                gap = float(np.max(np.abs(cdf - empirical)))
+                way = "toward" if toward else "away from"
+                results.append(
+                    CheckResult(
+                        name=f"walk exit law q={q} N={walk_length} correct votes {way} the exit",
+                        passed=gap <= tol,
+                        detail=f"max |CDF gap| over {len(cdf)} rounds {gap:.6f} <= {tol}",
+                    )
+                )
+    return results
+
+
 def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     """All analytic-oracle checks; `grid` is "small" (fast) or "full"."""
     if grid not in ("small", "full"):
@@ -252,4 +316,5 @@ def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     results += verify_hoeffding_domination(grid)
     results += verify_boost_identity(grid, rng)
     results += verify_halfspace_disagreement(grid, rng)
+    results += verify_first_majority_law(grid, rng)
     return results

@@ -3,10 +3,10 @@
 All instances are sorted by randomized quicksort, run level by level: every
 open segment of a recursion level draws its own pivot and the level's
 pairwise tests, each a k1-vote majority comparison, go to the oracle as one
-batch.  The leftmost positive position is then found by binary search with
-k2-vote majority labels.  Vote sizes come from
-``oracles.vote_sizes`` so the whole procedure labels everything correctly
-except with probability delta.
+batch, which draws how many of them come out wrong rather than their votes.
+The leftmost positive position is then found by binary search with k2-vote
+majority labels.  Vote sizes come from ``oracles.vote_sizes`` so the whole
+procedure labels everything correctly except with probability delta.
 """
 
 from __future__ import annotations

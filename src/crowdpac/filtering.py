@@ -6,7 +6,9 @@ instance to a running-majority comparison walk against the supports: an
 instance whose majorities place it inside the support interval is retained
 for the next round, one whose majority agrees with the hypothesis on its side
 is a confirmed agreement, and one that survives the whole walk without either
-break is a suspected mistake.
+break is a suspected mistake.  Each instance's verdict and walk length are
+drawn from the walk's exact law, and the ledger is charged the votes the
+walk reads.
 """
 
 from __future__ import annotations
@@ -141,50 +143,46 @@ def _walk_verdicts(
     walk_length: int,
     oracle: CrowdOracle,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized running-majority walk for a batch of instances.
+    """Running-majority walk for a batch of instances, drawn from its exact law.
 
-    The walk moves from odd round to odd round, drawing for each present
-    support side one vote in round 1 and two more before every later odd
-    round, and only for instances that have not yet broken off.  An
-    instance breaks at the first odd round where its running majorities
-    place it inside the support interval (INSIDE) or agree with the
-    hypothesis on its side (AGREE); one that never breaks is a
-    MISTAKE after all ``walk_length`` rounds.  The ledger is charged for the
-    votes drawn: one comparison per present support side per round used.
+    The walk votes once per round on each present support side and checks
+    at odd rounds.  An instance breaks at the first check where its running
+    majorities place it inside the support interval (INSIDE) or agree with
+    the hypothesis on its side (AGREE); one that never breaks is a MISTAKE
+    after all ``walk_length`` rounds.  The ledger is charged for the votes
+    the walk reads: one comparison per present support side per round used.
     Returns (verdict codes, rounds consumed per instance).
+
+    At an odd round every running sum is odd, so never 0, and the walk
+    goes on exactly while the majority against each support is -h, h being
+    the hypothesis label.  Each side's walk stops at the first check where
+    its majority turns to h, independently of the other side: against
+    ``below`` (``above``) that means AGREE when h = -1 (+1) and INSIDE
+    otherwise.  So each side's first such round is drawn from its exact law
+    (``CrowdOracle.first_majority``), and the earlier of the two decides,
+    AGREE winning ties.  An absent AGREE side never stops the walk.  An
+    absent INSIDE side stops it at round 1: with the AGREE side alone,
+    INSIDE needs only that side's majority to be -h, the very condition for
+    the walk to go on.
     """
-    sides = [(ref, side) for ref, side in ((support.below, 1), (support.above, -1))
-             if ref is not None]
-    if not sides:
+    if support.below is None and support.above is None:
         raise ValueError("interval test needs at least one support instance")
-    if walk_length < 1 or walk_length % 2 == 0:
-        raise ValueError("walk length must be a positive odd count")
-    n = len(points)
-    verdicts = np.full(n, _MISTAKE, dtype=np.int8)
-    rounds_used = np.full(n, walk_length, dtype=np.int64)
-    live = np.arange(n)
-    live_labels = np.asarray(h_labels)
-    # running tag sums per side times its sign (+1 below, -1 above), so that
-    # a positive entry is a majority pointing into the support interval
-    sums = np.zeros((len(sides), n), dtype=np.int64)
-    for t in range(1, walk_length + 1, 2):
-        if not live.size:
-            break
-        live_points = points[live]
-        for row, (ref, side) in enumerate(sides):
-            sums[row] += side * oracle.tally(live_points, 1 if t == 1 else 2, reference=ref)
-        inside = (sums > 0).all(axis=0)
-        agree = np.zeros(live.size, dtype=bool)
-        for row, (_, side) in enumerate(sides):
-            agree |= (sums[row] < 0) & (live_labels == -side)
-        # never both: inside needs every signed sum > 0, agree one below 0
-        fired = inside | agree
-        verdicts[live[inside]] = _INSIDE
-        verdicts[live[agree]] = _AGREE
-        rounds_used[live[fired]] = t
-        walking = ~fired
-        live, live_labels, sums = live[walking], live_labels[walking], sums[:, walking]
-    oracle.ledger.charge_comparisons(int(rounds_used.sum()) * len(sides))
+    h_labels = np.asarray(h_labels)
+    exits = []
+    for ref, side in ((support.below, 1), (support.above, -1)):
+        if ref is None:
+            exits.append(np.where(h_labels == -side, walk_length + 2, 1))
+        else:
+            exits.append(oracle.first_majority(points, h_labels, walk_length, reference=ref))
+    below, above = exits
+    agree = np.where(h_labels == -1, below, above)
+    inside = np.where(h_labels == -1, above, below)
+    rounds_used = np.minimum(np.minimum(agree, inside), walk_length)
+    verdicts = np.select(
+        [agree <= rounds_used, inside <= rounds_used], [_AGREE, _INSIDE], _MISTAKE
+    ).astype(np.int8)
+    present = (support.below is not None) + (support.above is not None)
+    oracle.ledger.charge_comparisons(int(rounds_used.sum()) * present)
     return verdicts, rounds_used
 
 

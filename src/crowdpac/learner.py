@@ -186,8 +186,13 @@ def learn_consistent(points, labels) -> LearnResult:
         w = w + labels[i] * points[i]
 
     if not np.any(best_w):
-        # the best iterate is the zero vector; fall back to a deterministic
-        # nonzero direction
-        best_w = points[0] * labels[0]
+        # the best iterate is the zero vector; fall back to the longest
+        # signed row, or to e_1 when every row is zero
+        norms = np.einsum("ij,ij->i", points, points)
+        longest = int(norms.argmax())
+        if norms[longest] > 0.0:
+            best_w = labels[longest] * points[longest]
+        else:
+            best_w = np.eye(d)[0]
         best_errors = _training_errors(points, labels, best_w)
     return LearnResult(Halfspace(best_w), best_errors, False, n)

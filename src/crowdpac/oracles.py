@@ -2,26 +2,33 @@
 
 Every response is correct with probability at least 1/2 + margin (alpha for
 labels, beta for comparisons).  Workers are memoryless and each vote comes
-from a freshly drawn worker, so the k votes on one question are independent
-and the number of correct ones is Binomial(k, q) for the crowd's per-vote
-accuracy q.  The simulator draws that count, one draw per question, never
-the individual votes.
+from a freshly drawn worker, so the votes on one question are independent,
+each correct with the crowd's per-vote accuracy q.  The simulator never
+draws the votes: it draws each test's outcome from its exact law.
 
-``CrowdOracle`` answers batches of questions two ways: ``majority`` returns
-one k-vote majority tag per question and charges its k votes to the
+``CrowdOracle`` answers batches of questions two ways.  ``majority``
+returns one k-vote majority tag per question and charges its k votes to the
 ``QueryLedger`` (``label_queries`` for labels, ``comparison_queries`` for
-comparisons); ``tally`` returns each question's sum of its k ±1 tags and
+comparisons).  A k-vote majority is wrong with probability
+P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``), independently
+across questions, so one Binomial(n, that tail) draw gives how many of the
+batch's n tags come out wrong, and that many positions, chosen uniformly
+without replacement, are flipped.  ``first_majority`` returns, for each
+question, the first odd round at which the running majority of its votes
+takes a given sign, drawn by inverse CDF from ``first_majority_law``; it
 charges nothing, leaving the caller to charge the votes it actually reads.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import majority_error_exact
 from .geometry import Halfspace
 
 
@@ -129,6 +136,35 @@ def vote_sizes(m: int, delta: float, cfg: CrowdConfig) -> tuple[int, int]:
     return k1, k2
 
 
+# per-(k, q) error of a k-vote majority, shared by every oracle in the process
+_majority_error = functools.lru_cache(maxsize=None)(majority_error_exact)
+
+
+@functools.lru_cache(maxsize=None)
+def first_majority_law(q: float, walk_length: int, toward: bool) -> np.ndarray:
+    """CDF of the first odd round t <= walk_length at which the majority of a
+    question's first t votes takes a given sign, votes being correct with
+    probability q and the true answer having that sign when ``toward``.
+
+    Entry i is the probability of a first such round at or before 2i + 1;
+    the (walk_length + 1) / 2 entries leave 1 - cdf[-1] for no such round.
+    The running sum of the votes, +1 for each vote of the sign, is odd at
+    odd rounds and first turns positive by first reaching +1, which it does
+    at round 2m + 1 with probability C_m a^(m+1) (1-a)^m (the ballot
+    theorem), C_m being the m-th Catalan number and a a vote's chance of
+    carrying the sign.
+    """
+    a = q if toward else 1.0 - q
+    exits = np.empty((walk_length + 1) // 2)
+    term = a
+    for m in range(len(exits)):
+        exits[m] = term
+        term *= 2.0 * (2 * m + 1) / (m + 2) * a * (1.0 - a)  # C_(m+1) / C_m
+    cdf = np.cumsum(exits)
+    cdf.flags.writeable = False
+    return cdf
+
+
 class CrowdOracle:
     """Simulated crowd answering label and comparison queries about one
     ground-truth halfspace.
@@ -151,11 +187,11 @@ class CrowdOracle:
 
     # -- response model -----------------------------------------------------
 
-    def _draw(self, points, k: int, reference) -> tuple[np.ndarray, np.ndarray]:
-        """Truths of len(points) questions and how many of each question's k
-        fresh responses are correct: labels when ``reference`` is None,
-        otherwise comparisons of each row against ``reference``, either one
-        row for every question or one row per question."""
+    def _truths(self, points, reference) -> tuple[np.ndarray, float]:
+        """True answers of len(points) questions and the per-vote accuracy:
+        labels when ``reference`` is None, otherwise comparisons of each row
+        against ``reference``, either one row for every question or one row
+        per question."""
         points = np.asarray(points, dtype=float)
         if reference is None:
             margin = self.config.alpha
@@ -170,8 +206,7 @@ class CrowdOracle:
             points = points - reference
         truths = self.ground_truth.predict(points)  # checks the dimension
         pool = self.config.pool
-        accuracy = 0.5 + margin if pool is None else pool.vote_accuracy
-        return truths, self.rng.binomial(k, accuracy, len(points))
+        return truths, 0.5 + margin if pool is None else pool.vote_accuracy
 
     # -- answering ------------------------------------------------------------
 
@@ -181,19 +216,33 @@ class CrowdOracle:
         Charges n*k to the matching counter of the ledger."""
         if k < 1 or k % 2 == 0:
             raise ValueError("majority vote size must be a positive odd count")
-        truths, correct = self._draw(points, k, reference)
+        tags, accuracy = self._truths(points, reference)
+        n = tags.size
         if reference is None:
-            self.ledger.charge_labels(truths.size * k)
+            self.ledger.charge_labels(n * k)
         else:
-            self.ledger.charge_comparisons(truths.size * k)
-        return np.where(2 * correct > k, truths, -truths)
+            self.ledger.charge_comparisons(n * k)
+        wrong = self.rng.binomial(n, _majority_error(k, accuracy))
+        if wrong:
+            tags[self.rng.choice(n, wrong, replace=False)] *= -1
+        return tags
 
-    def tally(self, points, k: int, reference=None) -> np.ndarray:
-        """Sum of k fresh ±1 response tags for each question, questions as
-        in ``majority``; its sign is the k-vote majority when k is odd.
+    def first_majority(self, points, sign, walk_length: int, reference=None) -> np.ndarray:
+        """For each question, asked as in ``majority``, the first odd round
+        t <= walk_length at which the majority of its first t fresh votes is
+        ``sign`` (+-1, one for every question or one per question), or
+        walk_length + 2 when there is none.
 
-        Does NOT charge the ledger: callers running sequential early-stopping
-        tests draw votes in steps and must charge exactly the votes they read.
+        Does NOT charge the ledger: a sequential test reads only the votes
+        up to the round at which it stops, and its caller charges those.
         """
-        truths, correct = self._draw(points, k, reference)
-        return truths * (2 * correct - k)
+        if walk_length < 1 or walk_length % 2 == 0:
+            raise ValueError("walk length must be a positive odd count")
+        truths, accuracy = self._truths(points, reference)
+        toward = truths == sign
+        u = self.rng.random(truths.size)
+        index = np.empty(truths.size, dtype=np.int64)
+        for side in (True, False):
+            cdf = first_majority_law(accuracy, walk_length, side)
+            index[toward == side] = np.searchsorted(cdf, u[toward == side], side="right")
+        return 2 * index + 1

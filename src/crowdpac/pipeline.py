@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .analytic import halfspace_disagreement
 from .compare_label import compare_and_label
 from .filtering import FilterConfig, default_walk_length, filter_mistakes
 from .geometry import (
@@ -353,13 +354,18 @@ def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
     it and the ground truth take depends only on a point's projection onto
     the span of their weights (at most 4 dims), and not on its norm; for
     both marginals that projection's direction is uniform, so the n points
-    are drawn as standard normals in an orthonormal basis of that span.
+    are drawn as standard normals in an orthonormal basis of that span.  A
+    single Halfspace errs on each point independently with probability
+    theta/pi (``analytic.halfspace_disagreement``), so its error is one
+    Binomial(n, theta/pi) draw over n.
     """
     voters = predictor.voters if isinstance(predictor, MajorityVote) else (predictor,)
     if not all(isinstance(voter, Halfspace) for voter in voters):
         raise TypeError("holdout_error needs a Halfspace or a MajorityVote of Halfspaces")
     if any(voter.dim != ground_truth.dim for voter in voters):
         raise ValueError("predictor and ground truth must share one dimension")
+    if isinstance(predictor, Halfspace):
+        return rng.binomial(n, halfspace_disagreement(predictor.weights, ground_truth.weights)) / n
     basis = _orthonormal_basis([ground_truth.weights] + [voter.weights for voter in voters])
 
     def project(h: Halfspace) -> Halfspace:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestMajorityErrorExact:
     def test_perfect_voters(self):
         for k in (1, 3, 11, 101):
             assert majority_error_exact(k, 1.0) == 0.0
+
+    def test_large_k_matches_exact_rational_sum(self):
+        # k1 reaches about 1200 at beta = 0.1; comb(k, j) then overflows a float
+        for k, q in ((1189, Fraction(3, 5)), (89, Fraction(17, 20))):
+            exact = sum(math.comb(k, j) * (1 - q) ** j * q ** (k - j) for j in range((k + 1) // 2, k + 1))
+            assert majority_error_exact(k, float(q)) == pytest.approx(float(exact), rel=1e-9)
 
     def test_rejects_even_k(self):
         with pytest.raises(ValueError):

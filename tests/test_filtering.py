@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import defaultdict
 
@@ -121,32 +122,37 @@ class TestIntervalTest:
         assert np.count_nonzero(false_alarms == _MISTAKE) / reps <= 0.1
 
 
-def exact_walk(q, walk_length, h_label):
+def exact_walk(q, walk_length, h_label, truths=(-1, -1)):
     """Exact verdict shares, and mean and standard deviation of the rounds
-    used, of the walk of OUTSIDE_LEFT against SUPPORT.
+    used, of the walk of an instance whose true comparisons against
+    ``below`` and ``above`` are ``truths`` (None for an absent side); the
+    default is OUTSIDE_LEFT against SUPPORT.
 
-    Dynamic program over the two running tag sums (against ``below`` and
-    ``above``), one vote per side per round, checked at odd rounds.  Both
-    true comparisons are -1, so a correct vote adds -1 to its sum.
+    Dynamic program over the running tag sums of the present sides, one
+    vote per side per round, checked at odd rounds.  A correct vote adds the
+    side's true comparison to its sum.
     """
-    tag_odds = ((-1, q), (1, 1 - q))
-    walking = {(0, 0): 1.0}
+    sides = [(sign, truth) for sign, truth in zip((1, -1), truths) if truth is not None]
+    walking = {(0,) * len(sides): 1.0}
     shares = dict.fromkeys((_INSIDE, _AGREE, _MISTAKE), 0.0)
     rounds = defaultdict(float)  # round -> probability of ending there
     for t in range(1, walk_length + 1):
         step = defaultdict(float)
-        for (below, above), p in walking.items():
-            for tag_b, p_b in tag_odds:
-                for tag_a, p_a in tag_odds:
-                    step[below + tag_b, above + tag_a] += p * p_b * p_a
+        for sums, p in walking.items():
+            for tags in itertools.product(*[((truth, q), (-truth, 1 - q)) for _, truth in sides]):
+                moved = tuple(total + tag for total, (tag, _) in zip(sums, tags))
+                step[moved] += p * math.prod(p_tag for _, p_tag in tags)
         walking = step
         if t % 2 == 0:
             continue
-        for below, above in list(walking):
-            inside = below > 0 and above < 0
-            agree = (below < 0 and h_label == -1) or (above > 0 and h_label == 1)
+        for sums in list(walking):
+            signed = [sign * total for (sign, _), total in zip(sides, sums)]
+            inside = all(value > 0 for value in signed)
+            agree = any(
+                value < 0 and h_label == -sign for value, (sign, _) in zip(signed, sides)
+            )
             if inside or agree:
-                p = walking.pop((below, above))
+                p = walking.pop(sums)
                 shares[_INSIDE if inside else _AGREE] += p
                 rounds[t] += p
     shares[_MISTAKE] = sum(walking.values())
@@ -156,11 +162,63 @@ def exact_walk(q, walk_length, h_label):
     return shares, mean, sd
 
 
+def vote_by_vote_walk(points, support, h_labels, walk_length, truth, q, rng):
+    """The walk voted round by round, the reference for ``_walk_verdicts``'s
+    exact-law draw: one Bernoulli(q) correct vote per present side in round
+    1 and two more before every later odd round, for the instances still
+    walking.  Returns (verdict codes, rounds used)."""
+    sides = [(ref, side) for ref, side in ((support.below, 1), (support.above, -1))
+             if ref is not None]
+    n = len(points)
+    verdicts = np.full(n, _MISTAKE, dtype=np.int8)
+    rounds_used = np.full(n, walk_length, dtype=np.int64)
+    live = np.arange(n)
+    live_labels = np.asarray(h_labels)
+    sums = np.zeros((len(sides), n), dtype=np.int64)
+    for t in range(1, walk_length + 1, 2):
+        if not live.size:
+            break
+        for row, (ref, side) in enumerate(sides):
+            true_tags = truth.predict(points[live] - ref)
+            for _ in range(1 if t == 1 else 2):
+                sums[row] += side * np.where(rng.random(live.size) < q, true_tags, -true_tags)
+        inside = (sums > 0).all(axis=0)
+        agree = np.zeros(live.size, dtype=bool)
+        for row, (_, side) in enumerate(sides):
+            agree |= (sums[row] < 0) & (live_labels == -side)
+        fired = inside | agree
+        verdicts[live[inside]] = _INSIDE
+        verdicts[live[agree]] = _AGREE
+        rounds_used[live[fired]] = t
+        walking = ~fired
+        live, live_labels, sums = live[walking], live_labels[walking], sums[:, walking]
+    return verdicts, rounds_used
+
+
+# the 16 walk classes: present support sides x true comparisons x h
+WALK_CLASSES = [
+    (truths, h_label)
+    for truths in [(b, a) for b in (-1, 1) for a in (-1, 1)]
+    + [(b, None) for b in (-1, 1)] + [(None, a) for a in (-1, 1)]
+    for h_label in (-1, 1)
+]
+
+
+
+def walk_class_id(value):
+    if isinstance(value, tuple):
+        return "_".join(
+            f"{name}{'absent' if t is None else f'{t:+d}'}"
+            for name, t in zip(("below", "above"), value)
+        )
+    return f"h{value:+d}"
+
+
 class TestWalkDistribution:
     @pytest.mark.parametrize("h_label", [1, -1])
     def test_walk_matches_exact_distribution(self, h_label):
-        # the walk draws one vote per side in round 1 and two before each
-        # later odd round; exact_walk adds one vote per round
+        # exact_walk adds one vote per round; the walk draws each side's
+        # first stopping round from its exact law
         n, walk = 40_000, 19
         oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 108, h_label + 1)
         codes, rounds = _walk_verdicts(
@@ -174,6 +232,31 @@ class TestWalkDistribution:
         assert abs(rounds.mean() - mean_rounds) <= 4 * sd_rounds / math.sqrt(n)
         assert np.all(rounds % 2 == 1) and np.all(rounds[codes == _MISTAKE] == walk)
         assert oracle.ledger.comparison_queries == 2 * int(rounds.sum())
+
+    @pytest.mark.parametrize("truths, h_label", WALK_CLASSES, ids=walk_class_id)
+    def test_walk_matches_vote_by_vote_reference(self, truths, h_label):
+        # the instance sits at the origin; a support at -0.5 * t makes the
+        # true comparison against it t
+        n, walk, q = 20_000, 9, 0.85
+        below, above = (None if t is None else np.array([-0.5 * t, 0.0]) for t in truths)
+        support = SupportPair(below=below, above=above)
+        points, h_labels = np.zeros((n, 2)), np.full(n, h_label)
+        key = [2 if t is None else t + 1 for t in truths] + [h_label + 1]
+        oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 109, *key)
+        codes, rounds = _walk_verdicts(points, support, h_labels, walk, oracle)
+        ref_codes, ref_rounds = vote_by_vote_walk(
+            points, support, h_labels, walk, oracle.ground_truth, q, make_rng(110, *key)
+        )
+        shares, mean_rounds, sd_rounds = exact_walk(q, walk, h_label, truths)
+        for code, p in shares.items():
+            se = math.sqrt(p * (1 - p) / n)
+            for got in (codes, ref_codes):
+                assert abs(np.count_nonzero(got == code) / n - p) <= 4 * se, code
+        for got in (rounds, ref_rounds):
+            assert abs(got.mean() - mean_rounds) <= 4 * sd_rounds / math.sqrt(n)
+        assert np.all(rounds % 2 == 1) and np.all(rounds[codes == _MISTAKE] == walk)
+        present = sum(t is not None for t in truths)
+        assert oracle.ledger.comparison_queries == present * int(rounds.sum())
 
 
 class TestDefaultWalkLength:

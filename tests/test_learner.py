@@ -88,6 +88,22 @@ def test_nonseparable_returns_flagged_best_effort():
     assert result.updates == len(points)
 
 
+def test_zero_iterate_falls_back_to_the_longest_signed_row():
+    # the best perceptron iterate is zero and the first row is zero too
+    result = learn_consistent([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], [1, 1, 1])
+    assert not result.consistent
+    assert np.array_equal(result.hypothesis.weights, [1.0, 0.0])
+    assert result.training_errors == 1
+    result = learn_consistent([[0.0, 0.0], [0.5, 0.0], [0.0, -2.0]], [1, 1, 1])
+    assert not result.consistent
+    assert np.array_equal(result.hypothesis.weights, [0.0, -2.0])
+    # every row zero: e_1
+    result = learn_consistent(np.zeros((2, 3)), [1, -1])
+    assert not result.consistent
+    assert np.array_equal(result.hypothesis.weights, [1.0, 0.0, 0.0])
+    assert result.training_errors == 1
+
+
 def test_infeasible_direct_solve_is_final(monkeypatch):
     points, labels, _ = separable_sample(7, n=231, d=2)
     labels = labels.copy()

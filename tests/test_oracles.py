@@ -10,6 +10,7 @@ from crowdpac.oracles import (
     Adversary,
     CrowdConfig,
     PoolModel,
+    first_majority_law,
     next_odd,
     vote_sizes,
 )
@@ -29,12 +30,13 @@ class TestSingleQueries:
     def test_label_frequency(self):
         # Bernoulli(0.8) check at alpha = 0.3
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 12)
-        hits = (oracle.tally(X[None], 100_000)[0] + 100_000) // 2
+        hits = np.count_nonzero(oracle.majority(np.tile(X, (100_000, 1)), 1) == 1)
         assert abs(hits / 100_000 - 0.8) <= 0.004
 
     def test_comparison_frequency(self):
         oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 13)
-        hits = (oracle.tally(X[None], 100_000, reference=X_LEFT)[0] + 100_000) // 2
+        tags = oracle.majority(np.tile(X, (100_000, 1)), 1, reference=X_LEFT)
+        hits = np.count_nonzero(tags == 1)
         assert abs(hits / 100_000 - 0.85) <= 0.004
 
     def test_noiseless_comparison(self):
@@ -55,13 +57,20 @@ WORKER_MODELS = {
     "random_flip": PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP),
 }
 
+# (pool, per-vote accuracy) at alpha = beta = 0.2: the pools' floor
+# 0.8 * 0.9 = 0.72 covers 1/2 + 0.2; random_flip adds 0.2 / 2
+VOTE_ACCURACY = {
+    "iid": (None, 0.7),
+    "always_wrong": (PoolModel(0.8, 0.9, Adversary.ALWAYS_WRONG), 0.72),
+    "random_flip": (PoolModel(0.8, 0.9, Adversary.RANDOM_FLIP), 0.82),
+}
+
 
 class TestMajorityVotes:
     def test_vote_counting(self):
-        # majority and tally share one draw: under every worker model and
-        # for labels, comparisons against one row and comparisons against one
-        # row per question, the same seed gives a majority equal to the sign
-        # of the tally, and only majority charges
+        # under every worker model and for labels, comparisons against one
+        # row and comparisons against one row per question, majority gives
+        # one tag per question and charges n*k; first_majority charges nothing
         questions = make_rng(19).standard_normal((40, 2))
         per_row = make_rng(19, 1).standard_normal((40, 2))
         for model, pool in WORKER_MODELS.items():
@@ -70,12 +79,12 @@ class TestMajorityVotes:
                 case = f"{model}, {kind}"
                 voter = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
                 lister = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
-                sizes = (1, 5, 5)  # repeated batches must stay in step too
+                sizes = (1, 5, 5)
                 for k in sizes:
                     tags = voter.majority(questions, k, reference=reference)
-                    listed = lister.tally(questions, k, reference=reference)
-                    assert listed.shape == (40,), case
-                    assert np.array_equal(tags, np.sign(listed)), case
+                    rounds = lister.first_majority(questions, 1, k, reference=reference)
+                    assert tags.shape == rounds.shape == (40,), case
+                    assert np.all(np.isin(tags, (-1, 1))), case
                 charged = (voter.ledger.label_queries, voter.ledger.comparison_queries)
                 votes = 40 * sum(sizes)
                 assert charged == ((votes, 0) if reference is None else (0, votes)), case
@@ -85,10 +94,37 @@ class TestMajorityVotes:
                 empty = np.empty((0, 2))
                 no_rows = reference[:0] if reference is per_row else reference
                 assert voter.majority(empty, 3, reference=no_rows).shape == (0,), case
-                assert lister.tally(empty, 3, reference=no_rows).shape == (0,), case
+                assert lister.first_majority(empty, 1, 3, reference=no_rows).shape == (0,), case
                 assert (voter.ledger.label_queries, voter.ledger.comparison_queries) == charged
                 with pytest.raises(ValueError):
                     voter.majority(questions, 4, reference=reference)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    @pytest.mark.parametrize("model", list(VOTE_ACCURACY))
+    def test_matches_vote_by_vote_reference(self, model, k):
+        # the batch's wrong share against k Bernoulli(q) votes per question,
+        # for labels and both reference shapes; wrong tags spread over the
+        # batch as they do over independent questions
+        pool, q = VOTE_ACCURACY[model]
+        n = 20_000
+        questions = make_rng(28, k).standard_normal((n, 2))
+        per_row = make_rng(28, k, 1).standard_normal((n, 2))
+        for reference in (None, X_LEFT, per_row):
+            oracle = make_oracle([1.0, -0.5], 0.2, 0.2, 28, k, pool=pool)
+            truths = oracle.ground_truth.predict(
+                questions if reference is None else questions - reference
+            )
+            tags = oracle.majority(questions, k, reference=reference)
+            wrong = np.count_nonzero(tags != truths) / n
+            votes = make_rng(29, k).random((n, k)) < q
+            reference_wrong = np.count_nonzero(2 * votes.sum(axis=1) < k) / n
+            pooled = (wrong + reference_wrong) / 2
+            se = math.sqrt(2 * pooled * (1 - pooled) / n)
+            assert abs(wrong - reference_wrong) <= 4 * se, (reference, wrong, reference_wrong)
+            halves = [np.count_nonzero(half) / (n // 2) for half in np.split(tags != truths, 2)]
+            assert abs(halves[0] - halves[1]) <= 4 * math.sqrt(4 * pooled * (1 - pooled) / n)
+            charged = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
+            assert charged == ((n * k, 0) if reference is None else (0, n * k))
 
     def test_reference_shape_checked(self):
         # a reference is one row of the questions' width or exactly one row
@@ -97,9 +133,10 @@ class TestMajorityVotes:
         questions = make_rng(27).standard_normal((5, 2))
         bad = [np.zeros(shape) for shape in ((4, 2), (6, 2), (1, 2), (5, 3), (3,), (1, 5, 2))]
         for reference in bad:
-            for ask in (oracle.majority, oracle.tally):
-                with pytest.raises(ValueError):
-                    ask(questions, 3, reference=reference)
+            with pytest.raises(ValueError):
+                oracle.majority(questions, 3, reference=reference)
+            with pytest.raises(ValueError):
+                oracle.first_majority(questions, 1, 3, reference=reference)
         assert oracle.ledger.comparison_queries == 0
 
     def test_even_k_rejected(self):
@@ -172,6 +209,36 @@ class TestMajorityVotes:
         assert oracle.ledger.comparison_queries == expect_comps
 
 
+class TestFirstMajority:
+    def test_law_limits(self):
+        # against the sign, the first majority of it is the first passage of
+        # a losing walk to +1: probability (1-q)/q in the long run, the
+        # ruin closed form with a deep-pocketed opponent
+        assert first_majority_law(0.7, 2001, False)[-1] == pytest.approx(3 / 7, abs=1e-12)
+        assert first_majority_law(0.7, 2001, True)[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(first_majority_law(1.0, 5, True), [1.0, 1.0, 1.0])
+        assert np.array_equal(first_majority_law(1.0, 5, False), [0.0, 0.0, 0.0])
+        # round 1 is one vote; round 3 adds C_1 a^2 (1-a)
+        assert np.allclose(first_majority_law(0.8, 3, True), [0.8, 0.8 + 0.8**2 * 0.2])
+
+    @pytest.mark.parametrize("toward", [True, False])
+    def test_matches_vote_by_vote_reference(self, toward):
+        n, walk, q = 40_000, 9, 0.7
+        oracle = make_oracle([1.0, 0.0], 0.2, 0.2, 34, int(toward))
+        sign = 1 if toward else -1  # X's true label is +1
+        rounds = oracle.first_majority(np.tile(X, (n, 1)), sign, walk)
+        votes = np.where(make_rng(35, int(toward)).random((n, walk)) < q, 1, -1) * sign
+        hits = np.cumsum(votes, axis=1)[:, ::2] > 0
+        reference = np.where(hits.any(axis=1), 2 * hits.argmax(axis=1) + 1, walk + 2)
+        for t in range(1, walk + 3, 2):
+            p = (np.count_nonzero(rounds == t) + np.count_nonzero(reference == t)) / (2 * n)
+            se = math.sqrt(2 * p * (1 - p) / n)
+            assert abs(np.count_nonzero(rounds == t) - np.count_nonzero(reference == t)) / n <= 4 * se, t
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (0, 0)
+        with pytest.raises(ValueError):
+            oracle.first_majority(X[None], sign, 4)
+
+
 class TestVoteSizes:
     def test_concrete_comparison_count(self):
         # ceil(ln(2*10^4/0.01) / (2*0.35^2)) = 60 -> next odd 61
@@ -223,7 +290,7 @@ class TestPoolModel:
         pool = PoolModel(0.9, 0.95, Adversary.ALWAYS_WRONG)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 30, pool=pool)
         n = 100_000
-        hits = (oracle.tally(X[None], n)[0] + n) // 2
+        hits = np.count_nonzero(oracle.majority(np.tile(X, (n, 1)), 1) == 1)
         sigma = math.sqrt(0.855 * 0.145 / n)
         assert hits / n >= 0.855 - 3 * sigma
 
@@ -231,7 +298,7 @@ class TestPoolModel:
         pool = PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 31, pool=pool)
         n = 50_000
-        hits = (oracle.tally(X[None], n)[0] + n) // 2
+        hits = np.count_nonzero(oracle.majority(np.tile(X, (n, 1)), 1) == 1)
         # effective correctness a*p + (1-a)/2 = 0.905
         assert hits / n >= 0.88
 

@@ -322,6 +322,24 @@ class TestHoldout:
         tail = min(f_dist.cdf(ratio, seeds - 1, seeds - 1), f_dist.sf(ratio, seeds - 1, seeds - 1))
         assert 2 * tail > 1e-4
 
+    @pytest.mark.parametrize("distribution", list(Distribution))
+    def test_single_halfspace_matches_full_draw(self, distribution):
+        # one halfspace's error is one Binomial(n, theta/pi) draw over n
+        problem = ProblemConfig(dimension=20, target_error=0.1, distribution=distribution)
+        rng = make_rng(255)
+        truth = Halfspace(rng.standard_normal(20))
+        h = Halfspace(truth.weights + 0.5 * rng.standard_normal(20))
+        seeds, n = 200, 5000
+        drawn = np.array([holdout_error(h, truth, problem, n, make_rng(256, s))
+                          for s in range(seeds)])
+        full = np.array([full_holdout(h, truth, problem, n, make_rng(257, s))
+                         for s in range(seeds)])
+        se = math.sqrt((drawn.var(ddof=1) + full.var(ddof=1)) / seeds)
+        assert abs(drawn.mean() - full.mean()) <= 4 * se
+        ratio = drawn.var(ddof=1) / full.var(ddof=1)
+        tail = min(f_dist.cdf(ratio, seeds - 1, seeds - 1), f_dist.sf(ratio, seeds - 1, seeds - 1))
+        assert 2 * tail > 1e-4
+
     def test_single_halfspace_matches_closed_form(self):
         problem = ProblemConfig(dimension=20, target_error=0.1)
         rng = make_rng(247)
