@@ -10,7 +10,9 @@ its wrong tags from ``majority_error_exact``; the vote-by-vote references in
 ``holdout_error`` of one halfspace draws from ``halfspace_disagreement``;
 the Monte Carlo checks below and the full-dimension holdout references in
 ``tests/test_pipeline.py`` test it.  The walk's first-majority law in
-``oracles`` is checked here against a vote-by-vote Monte Carlo.
+``oracles`` is checked here against a vote-by-vote Monte Carlo, and the
+test count of error-free ``noisy_quicksort``, which draws only segment
+sizes, against quicksort's closed-form mean and variance.
 """
 
 from __future__ import annotations
@@ -140,6 +142,16 @@ def quicksort_expected_tests(m: int) -> float:
         raise ValueError("m must be nonnegative")
     harmonic = math.fsum(1.0 / i for i in range(1, m + 1))
     return 2.0 * (m + 1) * harmonic - 4.0 * m
+
+
+def quicksort_tests_variance(m: int) -> float:
+    """Variance of the same test count (Knuth, TAOCP vol. 3, 5.2.2):
+    7m^2 - 4(m+1)^2 H_m^(2) - 2(m+1)H_m + 13m, H_m^(2) = sum of 1/i^2."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    harmonic = math.fsum(1.0 / i for i in range(1, m + 1))
+    harmonic2 = math.fsum(1.0 / (i * i) for i in range(1, m + 1))
+    return 7.0 * m * m - 4.0 * (m + 1) ** 2 * harmonic2 - 2.0 * (m + 1) * harmonic + 13.0 * m
 
 
 def halfspace_disagreement(u, v) -> float:
@@ -306,6 +318,40 @@ def verify_first_majority_law(grid: str, rng: np.random.Generator) -> list[Check
     return results
 
 
+def verify_quicksort_tests(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    """Test counts of error-free ``noisy_quicksort`` on distinct rows against
+    the closed-form mean and variance, each within 4 standard errors (the
+    variance's from the sample's fourth central moment)."""
+    from .compare_label import noisy_quicksort  # these import this module
+    from .geometry import Halfspace
+    from .oracles import CrowdConfig, CrowdOracle
+
+    sizes, sorts = ((3, 30, 200), 800) if grid == "small" else ((3, 10, 100, 1000), 1500)
+    noiseless = CrowdConfig(alpha=0.5, beta=0.5)
+    results = []
+    for m in sizes:
+        oracle = CrowdOracle(Halfspace(np.array([1.0, 0.0])), noiseless, rng)
+        points = np.column_stack([rng.permutation(m), np.zeros(m)]).astype(float)
+        counts = np.array([noisy_quicksort(points, 1, oracle)[1] for _ in range(sorts)], dtype=float)
+        mean, var = quicksort_expected_tests(m), quicksort_tests_variance(m)
+        centred = counts - counts.mean()
+        var_se = math.sqrt(max(np.mean(centred**4) - np.var(counts) ** 2, 0.0) / sorts)
+        for moment, exact, est, se in (
+            ("mean", mean, counts.mean(), math.sqrt(var / sorts)),
+            ("variance", var, counts.var(ddof=1), var_se),
+        ):
+            gap = abs(est - exact)
+            results.append(
+                CheckResult(
+                    name=f"quicksort test-count {moment} m={m}",
+                    passed=gap <= 4 * se,
+                    detail=f"closed form {exact:.4f}, {sorts} error-free sorts {est:.4f}, "
+                           f"|gap| {gap:.4f} <= 4 SE {4 * se:.4f}",
+                )
+            )
+    return results
+
+
 def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     """All analytic-oracle checks; `grid` is "small" (fast) or "full"."""
     if grid not in ("small", "full"):
@@ -317,4 +363,5 @@ def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     results += verify_boost_identity(grid, rng)
     results += verify_halfspace_disagreement(grid, rng)
     results += verify_first_majority_law(grid, rng)
+    results += verify_quicksort_tests(grid, rng)
     return results

@@ -22,13 +22,6 @@ class Distribution(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
-def sign_pm1(values):
-    """Sign in {-1, +1} with sign(0) = +1. Works on scalars and arrays."""
-    if np.isscalar(values) or np.ndim(values) == 0:
-        return 1 if values >= 0 else -1
-    return np.where(np.asarray(values) >= 0, 1, -1)
-
-
 @dataclass(frozen=True)
 class Halfspace:
     """A homogeneous linear classifier x -> sign(weights . x)."""
@@ -57,7 +50,7 @@ class Halfspace:
                 f"dimension mismatch: halfspace has d={self.dim}, "
                 f"instances have d={points.shape[-1]}"
             )
-        return sign_pm1(points @ self.weights)
+        return np.where(points @ self.weights >= 0, 1, -1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ comparisons).  A k-vote majority is wrong with probability
 P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``), independently
 across questions, so one Binomial(n, that tail) draw gives how many of the
 batch's n tags come out wrong, and that many positions, chosen uniformly
-without replacement, are flipped.  ``first_majority`` returns, for each
+without replacement, are flipped.  ``wrong_majorities`` is that charge and
+draw on its own, for a caller that needs only the count: noisy quicksort
+while every test so far has been right.  ``first_majority`` returns, for each
 question, the first odd round at which the running majority of its votes
 takes a given sign, drawn by inverse CDF from ``first_majority_law``; it
 charges nothing, leaving the caller to charge the votes it actually reads.
@@ -187,16 +189,18 @@ class CrowdOracle:
 
     # -- response model -----------------------------------------------------
 
-    def _truths(self, points, reference) -> tuple[np.ndarray, float]:
-        """True answers of len(points) questions and the per-vote accuracy:
-        labels when ``reference`` is None, otherwise comparisons of each row
-        against ``reference``, either one row for every question or one row
-        per question."""
+    def _accuracy(self, comparisons: bool) -> float:
+        """Per-vote accuracy q of a comparison or a label question."""
+        if self.config.pool is not None:
+            return self.config.pool.vote_accuracy
+        return 0.5 + (self.config.beta if comparisons else self.config.alpha)
+
+    def _truths(self, points, reference) -> np.ndarray:
+        """True answers of len(points) questions: labels when ``reference``
+        is None, otherwise comparisons of each row against ``reference``,
+        either one row for every question or one row per question."""
         points = np.asarray(points, dtype=float)
-        if reference is None:
-            margin = self.config.alpha
-        else:
-            margin = self.config.beta
+        if reference is not None:
             reference = np.asarray(reference, dtype=float)
             if reference.shape not in (points.shape[-1:], points.shape):
                 raise ValueError(
@@ -204,27 +208,31 @@ class CrowdOracle:
                     f"row per question of shape {points.shape}"
                 )
             points = points - reference
-        truths = self.ground_truth.predict(points)  # checks the dimension
-        pool = self.config.pool
-        return truths, 0.5 + margin if pool is None else pool.vote_accuracy
+        return self.ground_truth.predict(points)  # checks the dimension
 
     # -- answering ------------------------------------------------------------
+
+    def wrong_majorities(self, n: int, k: int, comparisons: bool) -> int:
+        """Ask n k-vote majority questions, comparisons or labels, without
+        reading their answers: charges n*k to the matching counter of the
+        ledger and returns how many of the n come out wrong, a
+        Binomial(n, P[Bin(k, q) <= (k-1)/2]) draw."""
+        if k < 1 or k % 2 == 0:
+            raise ValueError("majority vote size must be a positive odd count")
+        if comparisons:
+            self.ledger.charge_comparisons(n * k)
+        else:
+            self.ledger.charge_labels(n * k)
+        return int(self.rng.binomial(n, _majority_error(k, self._accuracy(comparisons))))
 
     def majority(self, points, k: int, reference=None) -> np.ndarray:
         """k-vote majority tag for each row of ``points``: its label, or its
         comparison against ``reference`` (one row, or one row per question).
         Charges n*k to the matching counter of the ledger."""
-        if k < 1 or k % 2 == 0:
-            raise ValueError("majority vote size must be a positive odd count")
-        tags, accuracy = self._truths(points, reference)
-        n = tags.size
-        if reference is None:
-            self.ledger.charge_labels(n * k)
-        else:
-            self.ledger.charge_comparisons(n * k)
-        wrong = self.rng.binomial(n, _majority_error(k, accuracy))
+        tags = self._truths(points, reference)
+        wrong = self.wrong_majorities(tags.size, k, reference is not None)
         if wrong:
-            tags[self.rng.choice(n, wrong, replace=False)] *= -1
+            tags[self.rng.choice(tags.size, wrong, replace=False)] *= -1
         return tags
 
     def first_majority(self, points, sign, walk_length: int, reference=None) -> np.ndarray:
@@ -238,7 +246,8 @@ class CrowdOracle:
         """
         if walk_length < 1 or walk_length % 2 == 0:
             raise ValueError("walk length must be a positive odd count")
-        truths, accuracy = self._truths(points, reference)
+        truths = self._truths(points, reference)
+        accuracy = self._accuracy(reference is not None)
         toward = truths == sign
         u = self.rng.random(truths.size)
         index = np.empty(truths.size, dtype=np.int64)

@@ -29,7 +29,6 @@ from .geometry import (
     random_unit_vector,
     sample_instances,
     sample_size,
-    sign_pm1,
 )
 from .learner import learn_consistent
 from .oracles import CrowdConfig, CrowdOracle, QueryLedger
@@ -101,7 +100,7 @@ class MajorityVote:
 
     def predict(self, points) -> np.ndarray:
         total = sum(voter.predict(points) for voter in self.voters)
-        return sign_pm1(total)
+        return np.where(total >= 0, 1, -1)
 
 
 def majority_combine(h1, h2, h3) -> MajorityVote:

@@ -11,6 +11,7 @@ from crowdpac.analytic import (
     hoeffding_majority_bound,
     majority_error_exact,
     quicksort_expected_tests,
+    quicksort_tests_variance,
     ruin_probability,
     run_verification,
     simulate_ruin,
@@ -164,6 +165,26 @@ def test_quicksort_expected_tests_small_cases():
     assert quicksort_expected_tests(3) == pytest.approx(8 / 3)
     with pytest.raises(ValueError):
         quicksort_expected_tests(-1)
+
+
+def test_quicksort_tests_variance_matches_exact_law():
+    # the test count's exact law from C_n = n - 1 + C_U + C'_(n-1-U), U uniform
+    laws = [{0: 1.0}, {0: 1.0}]
+    for n in range(2, 13):
+        law = {}
+        for u in range(n):
+            for a, pa in laws[u].items():
+                for b, pb in laws[n - 1 - u].items():
+                    law[n - 1 + a + b] = law.get(n - 1 + a + b, 0.0) + pa * pb / n
+        laws.append(law)
+    for m, law in enumerate(laws):
+        mean = sum(c * p for c, p in law.items())
+        var = sum((c - mean) ** 2 * p for c, p in law.items())
+        assert mean == pytest.approx(quicksort_expected_tests(m), abs=1e-9)
+        assert quicksort_tests_variance(m) == pytest.approx(var, abs=1e-9)
+    assert quicksort_tests_variance(3) == pytest.approx(2 / 9)
+    with pytest.raises(ValueError):
+        quicksort_tests_variance(-1)
 
 
 def test_small_verification_grid_passes():

@@ -13,18 +13,158 @@ from crowdpac.compare_label import (
     threshold_search,
 )
 from crowdpac.geometry import Halfspace, ProblemConfig, random_unit_vector, sample_instances
-from crowdpac.oracles import vote_sizes
+from crowdpac.oracles import Adversary, PoolModel, vote_sizes
 
 from conftest import column_points, make_oracle, make_rng
 
 
+def explicit_quicksort(points, k1, oracle):
+    """Reference: the level-by-level sort asking every level's tests through
+    ``CrowdOracle.majority``, whatever the tests before them answered."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    order = np.arange(n, dtype=np.intp)
+    starts = np.zeros(int(n > 1), dtype=np.intp)
+    sizes = np.full(len(starts), n, dtype=np.intp)
+    n_tests = 0
+    while len(starts):
+        pivots = starts + oracle.rng.integers(sizes)
+        segment = np.repeat(np.arange(len(starts)), sizes)
+        position = np.arange(len(segment)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        asked = position != pivots[segment]
+        tags = oracle.majority(
+            points[order[position[asked]]], k1, reference=points[order[pivots[segment[asked]]]]
+        )
+        n_tests += len(tags)
+        side = np.ones(len(position), dtype=np.intp)
+        side[asked] = np.where(tags == -1, 0, 2)
+        order[position] = order[position[np.argsort(3 * segment + side, kind="stable")]]
+        n_left = np.bincount(segment[side == 0], minlength=len(starts))
+        starts = np.concatenate([starts, starts + n_left + 1])
+        sizes = np.concatenate([n_left, sizes - n_left - 1])
+        starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+    return order, n_tests
+
+
+def count_majority_calls(oracle) -> list:
+    """Record the batch size of every ``oracle.majority`` call from now on."""
+    calls, majority = [], oracle.majority
+
+    def recorded(points, k, reference=None):
+        calls.append(len(points))
+        return majority(points, k, reference)
+
+    oracle.majority = recorded
+    return calls
+
+
+def force_first_wrong_count(oracle, wrong: int) -> None:
+    """Make the oracle's first wrong-majority draw come out ``wrong``; it is
+    still charged as drawn, and later draws are left alone."""
+    draw, drawn = oracle.wrong_majorities, []
+
+    def forced(n, k, comparisons):
+        drawn.append(draw(n, k, comparisons))
+        return wrong if len(drawn) == 1 else drawn[-1]
+
+    oracle.wrong_majorities = forced
+
+
+def sort_sample(sort, m, k1, beta, seeds, pool=None):
+    """Test counts, descents and fully-sorted flags of ``sort`` over seeds
+    on m distinct rows, checking the ledger on every seed."""
+    points = column_points(make_rng(90, m).permutation(m))
+    tests, descents = np.empty(seeds), np.empty(seeds)
+    for seed in range(seeds):
+        oracle = make_oracle([1.0, 0.0], 0.35, beta, 91, m, k1, seed, pool=pool)
+        order, tests[seed] = sort(points, k1, oracle)
+        assert oracle.ledger.comparison_queries == k1 * tests[seed]
+        descents[seed] = np.count_nonzero(np.diff(points[order, 0]) < 0)
+    return tests, descents, descents == 0
+
+
+def assert_same_law(a, b, what):
+    """Means and standard deviations of two samples within 4 standard errors,
+    the latter's from each sample's fourth central moment."""
+    n = len(a)
+    mean_se = math.sqrt((np.var(a) + np.var(b)) / n)
+    assert abs(np.mean(a) - np.mean(b)) <= 4 * mean_se, what + " mean"
+
+    def sd_se(x):
+        sd = np.std(x)
+        return math.sqrt(max(np.mean((x - x.mean()) ** 4) - sd**4, 0.0) / n) / (2 * sd) if sd else 0.0
+
+    sd_gap = abs(np.std(a) - np.std(b))
+    assert sd_gap <= 4 * math.hypot(sd_se(a), sd_se(b)), what + " sd"
+
+
 class TestNoisyQuicksort:
     def test_noiseless_sorts_by_projection(self):
-        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 50)
-        points = column_points(make_rng(51).standard_normal(80))
+        # every test right: no row is asked about, and the order is the
+        # stable argsort of the true keys
+        rng = make_rng(51)
+        oracle = make_oracle(random_unit_vector(3, rng), 0.5, 0.5, 50)
+        points = rng.standard_normal((80, 3))
+        asked = count_majority_calls(oracle)
         order, n_tests = noisy_quicksort(points, 1, oracle)
-        assert np.all(np.diff(points[order][:, 0]) >= 0)
+        assert np.array_equal(order, np.argsort(points @ oracle.ground_truth.weights, kind="stable"))
         assert oracle.ledger.comparison_queries == n_tests
+        assert asked == []
+
+    def test_near_tie_takes_explicit_path(self):
+        # keys 4 ulps apart lie within rounding: the rows are asked level by
+        # level, and a noiseless crowd still sorts them
+        keys = np.append(np.arange(40.0), 5.0 + 4 * np.spacing(5.0))
+        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 67)
+        asked = count_majority_calls(oracle)
+        order, n_tests = noisy_quicksort(column_points(keys), 1, oracle)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert sum(asked) == n_tests > 0
+
+    @pytest.mark.parametrize(
+        "m, k1, beta, pool",
+        [
+            (40, 9, 0.2, None),
+            (40, 41, 0.2, None),
+            (120, 15, 0.35, None),
+            (300, 1, 0.45, None),
+            (60, 7, 0.35, PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)),
+        ],
+    )
+    def test_law_matches_explicit_sort(self, m, k1, beta, pool):
+        # test count, descents of the output and P[fully sorted] against the
+        # sort that asks every level, where tests err often enough to matter
+        seeds = 300 if m > 100 else 800
+        tests, descents, done = sort_sample(noisy_quicksort, m, k1, beta, seeds, pool)
+        ref_tests, ref_descents, ref_done = sort_sample(explicit_quicksort, m, k1, beta, seeds, pool)
+        assert_same_law(tests, ref_tests, "tests")
+        assert_same_law(descents, ref_descents, "descents")
+        p = (done.mean() + ref_done.mean()) / 2
+        assert abs(done.mean() - ref_done.mean()) <= 4 * math.sqrt(2 * p * (1 - p) / seeds) + 1e-12
+
+    @pytest.mark.parametrize("wrong", [1, 2])
+    def test_first_wrong_level_flips_exactly_its_draw(self, wrong):
+        # the first level's draw forced to `wrong` and later levels noiseless:
+        # the output permutation must follow the reference's law, which
+        # flips exactly that many of the level's tests at uniform positions
+        m, seeds = 4, 1000
+        points = column_points(np.arange(m))
+        laws = []
+        for sort in (noisy_quicksort, explicit_quicksort):
+            counts = {}
+            for seed in range(seeds):
+                oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 68, wrong, seed)
+                force_first_wrong_count(oracle, wrong)
+                order, n_tests = sort(points, 3, oracle)
+                assert oracle.ledger.comparison_queries == 3 * n_tests
+                counts[tuple(order)] = counts.get(tuple(order), 0) + 1
+            laws.append(counts)
+        new, ref = laws
+        assert tuple(range(m)) not in new
+        cells = set(new) | set(ref)
+        chi2 = sum((new.get(c, 0) - ref.get(c, 0)) ** 2 / (new.get(c, 0) + ref.get(c, 0)) for c in cells)
+        dof = len(cells) - 1
+        assert chi2 <= dof + 5 * math.sqrt(2 * dof)
 
     def test_single_instance_no_comparisons(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 52)
@@ -56,12 +196,13 @@ class TestNoisyQuicksort:
         se = np.std(counts, ddof=1) / math.sqrt(seeds)
         assert abs(np.mean(counts) - quicksort_expected_tests(m)) <= 3 * se
 
-    def test_identical_rows_ask_every_pair(self):
-        # d = 1 with all rows equal: every test ties and goes right, so each
-        # level splits off only its pivot and the sort asks each pair once
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_identical_rows_ask_every_pair(self, d):
+        # all rows equal: every test ties and goes right, so each level
+        # splits off only its pivot and the sort asks each pair once
         m = 60
-        oracle = make_oracle([1.0], 0.5, 0.5, 66)
-        order, n_tests = noisy_quicksort(np.ones((m, 1)), 1, oracle)
+        oracle = make_oracle(np.ones(d), 0.5, 0.5, 66)
+        order, n_tests = noisy_quicksort(np.ones((m, d)), 1, oracle)
         assert sorted(order.tolist()) == list(range(m))
         assert n_tests == m * (m - 1) // 2 == oracle.ledger.comparison_queries
 

@@ -126,6 +126,21 @@ class TestMajorityVotes:
             charged = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
             assert charged == ((n * k, 0) if reference is None else (0, n * k))
 
+    @pytest.mark.parametrize("pool", [None, PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)])
+    def test_wrong_majorities_count_and_charge(self, pool):
+        # the count alone, at each oracle's own accuracy: 1/2 + alpha for
+        # labels and 1/2 + beta for comparisons, or the pool's vote accuracy
+        n, k = 100_000, 3
+        oracle = make_oracle([1.0, 0.0], 0.1, 0.3, 31, pool=pool)
+        for comparisons, margin in ((False, 0.1), (True, 0.3)):
+            q = 0.5 + margin if pool is None else pool.vote_accuracy
+            p = majority_error_exact(k, q)
+            wrong = oracle.wrong_majorities(n, k, comparisons)
+            assert abs(wrong - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (comparisons, wrong)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (n * k, n * k)
+        with pytest.raises(ValueError):
+            oracle.wrong_majorities(n, 2, True)
+
     def test_reference_shape_checked(self):
         # a reference is one row of the questions' width or exactly one row
         # per question; any other shape raises before anything is charged
