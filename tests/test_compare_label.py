@@ -76,7 +76,8 @@ def sort_sample(sort, m, k1, beta, seeds, pool=None):
     points = column_points(make_rng(90, m).permutation(m))
     tests, descents = np.empty(seeds), np.empty(seeds)
     for seed in range(seeds):
-        oracle = make_oracle([1.0, 0.0], 0.35, beta, 91, m, k1, seed, pool=pool)
+        reference = int(sort is explicit_quicksort)  # its own streams: independent samples
+        oracle = make_oracle([1.0, 0.0], 0.35, beta, 91, m, k1, reference, seed, pool=pool)
         order, tests[seed] = sort(points, k1, oracle)
         assert oracle.ledger.comparison_queries == k1 * tests[seed]
         descents[seed] = np.count_nonzero(np.diff(points[order, 0]) < 0)
@@ -153,7 +154,7 @@ class TestNoisyQuicksort:
         for sort in (noisy_quicksort, explicit_quicksort):
             counts = {}
             for seed in range(seeds):
-                oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 68, wrong, seed)
+                oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 68, wrong, len(laws), seed)
                 force_first_wrong_count(oracle, wrong)
                 order, n_tests = sort(points, 3, oracle)
                 assert oracle.ledger.comparison_queries == 3 * n_tests
