@@ -203,7 +203,6 @@ def _ruin_grid(grid: str):
 def verify_ruin_vs_monte_carlo(grid: str, rng: np.random.Generator) -> list[CheckResult]:
     ps, starts, opponents, walks, tol = _ruin_grid(grid)
     results = []
-    worst = 0.0
     for p in ps:
         for i in starts:
             for n in opponents:
@@ -211,7 +210,6 @@ def verify_ruin_vs_monte_carlo(grid: str, rng: np.random.Generator) -> list[Chec
                 exact = ruin_probability(spec)
                 est = simulate_ruin(spec, walks, rng)
                 gap = abs(exact - est)
-                worst = max(worst, gap)
                 results.append(
                     CheckResult(
                         name=f"ruin p={p} i={i} N={n}",

@@ -23,8 +23,9 @@ from .geometry import Halfspace
 from .oracles import CrowdOracle, next_odd
 
 
-# verdict codes of the walk
-_INSIDE, _AGREE, _MISTAKE = 0, 1, 2
+# verdict codes of the walk, and the fates of the filter's input rows:
+# an instance still active in the filter is INSIDE
+_INSIDE, _AGREE, _MISTAKE, _SUBSAMPLED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,10 @@ class RoundStats:
 class FilterOutcome:
     """Partition produced by the filter, with per-round accounting.
 
-    Index arrays refer to rows of the input set; ``suspected_mistakes``
-    materializes the suspected rows.  Suspected, confirmed and
-    sub-sampled indices are pairwise disjoint subsets of the input.
+    Every input row has exactly one fate: suspected, confirmed,
+    sub-sampled, or, after an early stop, still active and in none of the
+    index arrays.  The index arrays refer to rows of the input set and are
+    ascending; ``suspected_mistakes`` materializes the suspected rows.
     """
 
     source: np.ndarray
@@ -206,77 +208,59 @@ def filter_mistakes(
         raise ValueError("filter needs at least one instance")
     if cfg.walk_length is None:
         raise ValueError("filter.walk_length must be resolved by the caller")
-    walk_length = cfg.walk_length
     budget = max(1, math.ceil(cfg.subsample_constant * math.log2(n0))) if n0 > 1 else 1
     delta_round = cfg.per_round_confidence
     if delta_round is None:
         delta_round = 0.001 / max(1, math.ceil(math.log2(n0)))
 
     h_labels = np.atleast_1d(hypothesis.predict(points))
+    fate = np.full(n0, _INSIDE, dtype=np.int8)
     active = np.arange(n0)
-    suspected: list[int] = []
-    confirmed: list[int] = []
-    subsampled: list[int] = []
     rounds: list[RoundStats] = []
 
     while active.size:
         labels_before = oracle.ledger.label_queries
         comps_before = oracle.ledger.comparison_queries
-        if active.size <= budget:
-            labeled = compare_and_label(points[active], delta_round, oracle)
-            original = active[labeled.order]
-            mismatch = labeled.labels != h_labels[original]
-            suspected.extend(original[mismatch].tolist())
-            confirmed.extend(original[~mismatch].tolist())
-            stats = RoundStats(
-                active_start=int(active.size),
-                subsample_size=int(active.size),
-                tested=0,
-                inside=0,
-                agreed=int(np.count_nonzero(~mismatch)),
-                suspected=int(np.count_nonzero(mismatch)),
-                label_queries=oracle.ledger.label_queries - labels_before,
-                comparison_queries=oracle.ledger.comparison_queries - comps_before,
-                walk_comparisons=0,
-                small_branch=True,
-            )
-            active = np.empty(0, dtype=np.intp)
+        small_branch = active.size <= budget
+        if small_branch:
+            sample, rest = active, active[:0]
         else:
-            chosen = oracle.rng.choice(active.size, size=budget, replace=False)
-            mask = np.zeros(active.size, dtype=bool)
-            mask[chosen] = True
-            sample_idx = active[mask]
-            rest_idx = active[~mask]
-            labeled = compare_and_label(points[sample_idx], delta_round, oracle)
-            support = pick_support(labeled)
-            comps_after_sort = oracle.ledger.comparison_queries
-            verdicts, _ = _walk_verdicts(
-                points[rest_idx], support, h_labels[rest_idx], walk_length, oracle
-            )
-            suspected.extend(rest_idx[verdicts == _MISTAKE].tolist())
-            confirmed.extend(rest_idx[verdicts == _AGREE].tolist())
-            subsampled.extend(sample_idx.tolist())
-            stats = RoundStats(
-                active_start=int(active.size),
-                subsample_size=int(budget),
-                tested=int(rest_idx.size),
-                inside=int(np.count_nonzero(verdicts == _INSIDE)),
-                agreed=int(np.count_nonzero(verdicts == _AGREE)),
-                suspected=int(np.count_nonzero(verdicts == _MISTAKE)),
-                label_queries=oracle.ledger.label_queries - labels_before,
-                comparison_queries=oracle.ledger.comparison_queries - comps_before,
-                walk_comparisons=oracle.ledger.comparison_queries - comps_after_sort,
-                small_branch=False,
-            )
-            active = rest_idx[verdicts == _INSIDE]
-        rounds.append(stats)
-        if cfg.early_stop_target is not None and len(suspected) >= cfg.early_stop_target:
+            chosen = np.zeros(active.size, dtype=bool)
+            chosen[oracle.rng.choice(active.size, size=budget, replace=False)] = True
+            sample, rest = active[chosen], active[~chosen]
+        labeled = compare_and_label(points[sample], delta_round, oracle)
+        comps_after_sort = oracle.ledger.comparison_queries
+        if small_branch:
+            original = sample[labeled.order]
+            fate[original] = np.where(labeled.labels != h_labels[original], _MISTAKE, _AGREE)
+        else:
+            fate[sample] = _SUBSAMPLED
+            fate[rest] = _walk_verdicts(
+                points[rest], pick_support(labeled), h_labels[rest], cfg.walk_length, oracle
+            )[0]
+        fates = fate[active]
+        counts = np.bincount(fates, minlength=4)
+        rounds.append(RoundStats(
+            active_start=int(active.size),
+            subsample_size=int(sample.size),
+            tested=int(rest.size),
+            inside=int(counts[_INSIDE]),
+            agreed=int(counts[_AGREE]),
+            suspected=int(counts[_MISTAKE]),
+            label_queries=oracle.ledger.label_queries - labels_before,
+            comparison_queries=oracle.ledger.comparison_queries - comps_before,
+            walk_comparisons=oracle.ledger.comparison_queries - comps_after_sort,
+            small_branch=small_branch,
+        ))
+        active = active[fates == _INSIDE]
+        suspects = np.count_nonzero(fate == _MISTAKE)
+        if cfg.early_stop_target is not None and suspects >= cfg.early_stop_target:
             break
 
     return FilterOutcome(
         source=points,
-        suspected_indices=np.asarray(suspected, dtype=np.intp),
-        confirmed_indices=np.asarray(confirmed, dtype=np.intp),
-        subsampled_indices=np.asarray(subsampled, dtype=np.intp),
+        suspected_indices=np.flatnonzero(fate == _MISTAKE),
+        confirmed_indices=np.flatnonzero(fate == _AGREE),
+        subsampled_indices=np.flatnonzero(fate == _SUBSAMPLED),
         rounds=rounds,
     )

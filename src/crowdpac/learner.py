@@ -13,10 +13,12 @@ when x is the origin, i.e. the sample is not separable.
 
 On a separable sample the learner returns that separator: zero training
 error, as the realizable PAC setting asks of its consistent-hypothesis
-oracle.  The nearest-point verdict on separability is final; on a sample it
-finds not separable, a pocket perceptron capped at n updates picks a
-best-effort hypothesis, which comes back with ``consistent=False`` so
-callers can flag it without aborting.  Deterministic given the input order.
+oracle.  The nearest-point solve is not retried; on a sample it finds not
+separable, a pocket perceptron capped at n updates takes over.  An iterate
+that violates no row within those updates comes back with
+``consistent=True``; otherwise the best iterate comes back with
+``consistent=False``, so callers can flag it without aborting.
+Deterministic given the input order.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ _TINY = np.finfo(float).tiny
 @dataclass(frozen=True)
 class LearnResult:
     hypothesis: Halfspace
-    training_errors: int
     consistent: bool
     updates: int
 
@@ -57,11 +58,6 @@ def _validate_sample(points, labels):
     if not np.all(np.isin(labels, (-1, 1))):
         raise ValueError("labels must be -1 or +1")
     return points, labels.astype(float)
-
-
-def _training_errors(points, labels, w) -> int:
-    predictions = np.where(points @ w >= 0, 1.0, -1.0)
-    return int(np.count_nonzero(predictions != labels))
 
 
 def _feasible_separator(points, labels) -> np.ndarray | None:
@@ -165,13 +161,15 @@ def _refined(w, support, gram):
 def learn_consistent(points, labels) -> LearnResult:
     """Fit a halfspace with zero training error on a separable sample.
 
-    The max-margin separator when the sample is separable; otherwise the
-    pocket perceptron's best iterate after n updates, flagged inconsistent.
+    The max-margin separator when the sample is separable.  Otherwise a
+    pocket perceptron runs for at most n updates: its first iterate that
+    violates no row comes back with ``consistent=True``, and failing that,
+    its best iterate comes back flagged ``consistent=False``.
     """
     points, labels = _validate_sample(points, labels)
     w = _feasible_separator(points, labels)
     if w is not None:
-        return LearnResult(Halfspace(w), 0, True, 0)
+        return LearnResult(Halfspace(w), True, 0)
 
     n, d = points.shape
     w = np.zeros(d)
@@ -179,7 +177,7 @@ def learn_consistent(points, labels) -> LearnResult:
     for updates in range(n):
         violated = np.nonzero(labels * (points @ w) <= 0)[0]
         if violated.size == 0:
-            return LearnResult(Halfspace(w), 0, True, updates)
+            return LearnResult(Halfspace(w), True, updates)
         if violated.size < best_errors:
             best_w, best_errors = w, int(violated.size)
         i = violated[0]
@@ -194,5 +192,4 @@ def learn_consistent(points, labels) -> LearnResult:
             best_w = labels[longest] * points[longest]
         else:
             best_w = np.eye(d)[0]
-        best_errors = _training_errors(points, labels, best_w)
-    return LearnResult(Halfspace(best_w), best_errors, False, n)
+    return LearnResult(Halfspace(best_w), False, n)

@@ -215,11 +215,7 @@ def phase2(
     outcome = filter_mistakes(big_sample, h1, filter_cfg, oracle)
 
     agreement_sample = sample_instances(problem, 2 * m_sqrt, oracle.rng)
-    pool = (
-        np.vstack([outcome.suspected_mistakes, agreement_sample])
-        if len(outcome.suspected_indices)
-        else agreement_sample
-    )
+    pool = np.vstack([outcome.suspected_mistakes, agreement_sample])
     labeled = compare_and_label(pool, PHASE_CONFIDENCE, oracle)
     disagrees = labeled.labels != h1.predict(labeled.instances)
     sizes = {
@@ -381,33 +377,24 @@ def trial_rng(seed: int, algorithm: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _ALG_STREAM[algorithm]]))
 
 
-def run_boost(
-    problem: ProblemConfig,
-    crowd: CrowdConfig,
-    constants: PipelineConstants,
-    filter_cfg: FilterConfig,
-    seed: int,
-    holdout_size: int = 20_000,
-) -> RunReport:
-    """One seeded end-to-end boosted run with a fresh ground truth."""
+def _trial(algorithm: str, problem: ProblemConfig, crowd: CrowdConfig, seed: int,
+           holdout_size: int, phases) -> RunReport:
+    """One seeded run on the (seed, algorithm) stream: a fresh ground truth
+    and oracle, ``phases(oracle)`` giving (phase reports, predictor), then the
+    predictor's holdout error and the run's query totals."""
     start = time.perf_counter()
-    rng = trial_rng(seed, "boost")
+    rng = trial_rng(seed, algorithm)
     ground_truth = Halfspace(random_unit_vector(problem.dimension, rng))
     oracle = CrowdOracle(ground_truth, crowd, rng, QueryLedger())
-
-    p1 = phase1(problem, oracle)
-    p2 = phase2(p1.hypothesis, problem, constants, filter_cfg, oracle)
-    p3 = phase3(p1.hypothesis, p2.hypothesis, problem, constants, oracle)
-    combined = majority_combine(p1.hypothesis, p2.hypothesis, p3.hypothesis)
-    error = holdout_error(combined, ground_truth, problem, holdout_size, rng)
-
+    phase_reports, predictor = phases(oracle)
+    error = holdout_error(predictor, ground_truth, problem, holdout_size, rng)
     lam_l, lam_c = overheads(
         oracle.ledger.label_queries, oracle.ledger.comparison_queries, problem
     )
     return RunReport(
-        algorithm="boost",
+        algorithm=algorithm,
         seed=seed,
-        phase_reports=[p1, p2, p3],
+        phase_reports=phase_reports,
         holdout_error=error,
         label_queries=oracle.ledger.label_queries,
         comparison_queries=oracle.ledger.comparison_queries,
@@ -418,6 +405,25 @@ def run_boost(
     )
 
 
+def run_boost(
+    problem: ProblemConfig,
+    crowd: CrowdConfig,
+    constants: PipelineConstants,
+    filter_cfg: FilterConfig,
+    seed: int,
+    holdout_size: int = 20_000,
+) -> RunReport:
+    """One seeded end-to-end boosted run with a fresh ground truth."""
+
+    def phases(oracle):
+        p1 = phase1(problem, oracle)
+        p2 = phase2(p1.hypothesis, problem, constants, filter_cfg, oracle)
+        p3 = phase3(p1.hypothesis, p2.hypothesis, problem, constants, oracle)
+        return [p1, p2, p3], majority_combine(p1.hypothesis, p2.hypothesis, p3.hypothesis)
+
+    return _trial("boost", problem, crowd, seed, holdout_size, phases)
+
+
 def run_natural(
     problem: ProblemConfig,
     crowd: CrowdConfig,
@@ -425,27 +431,11 @@ def run_natural(
     holdout_size: int = 20_000,
 ) -> RunReport:
     """Sort-and-label the full m_eps sample in one shot, then learn."""
-    start = time.perf_counter()
-    rng = trial_rng(seed, "natural")
-    ground_truth = Halfspace(random_unit_vector(problem.dimension, rng))
-    oracle = CrowdOracle(ground_truth, crowd, rng, QueryLedger())
 
-    m_ref = reference_sample_size(problem)
-    sample = sample_instances(problem, m_ref, rng)
-    report = _sort_label_learn("natural", sample, oracle, {"S1": m_ref})
-    error = holdout_error(report.hypothesis, ground_truth, problem, holdout_size, rng)
-    lam_l, lam_c = overheads(
-        oracle.ledger.label_queries, oracle.ledger.comparison_queries, problem
-    )
-    return RunReport(
-        algorithm="natural",
-        seed=seed,
-        phase_reports=[report],
-        holdout_error=error,
-        label_queries=oracle.ledger.label_queries,
-        comparison_queries=oracle.ledger.comparison_queries,
-        labeling_overhead=lam_l,
-        comparison_overhead=lam_c,
-        reference_sample_size=m_ref,
-        wall_clock_ms=(time.perf_counter() - start) * 1e3,
-    )
+    def phases(oracle):
+        m_ref = reference_sample_size(problem)
+        sample = sample_instances(problem, m_ref, oracle.rng)
+        report = _sort_label_learn("natural", sample, oracle, {"S1": m_ref})
+        return [report], report.hypothesis
+
+    return _trial("natural", problem, crowd, seed, holdout_size, phases)

@@ -316,6 +316,23 @@ class TestFilterMistakes:
             assert np.all((combined >= 0) & (combined < 600))
             assert len(combined) == 600  # loop runs to exhaustion
 
+    @pytest.mark.parametrize("size, tags, seeds", [(600, (124, 125), 8), (2000, (130, 131), 5)])
+    def test_round_stats_match_outcome(self, size, tags, seeds):
+        for seed in range(seeds):
+            oracle = make_oracle([1.0, 0.0], 0.35, 0.35, tags[0], seed)
+            points = sample_instances(ProblemConfig(dimension=2), size, make_rng(tags[1], seed))
+            out = filter_mistakes(points, rotated(0.2), FilterConfig(walk_length=19), oracle)
+            assert sum(r.suspected for r in out.rounds) == len(out.suspected_indices)
+            assert sum(r.agreed for r in out.rounds) == len(out.confirmed_indices)
+            walks = [r for r in out.rounds if not r.small_branch]
+            assert sum(r.subsample_size for r in walks) == len(out.subsampled_indices)
+            for r in out.rounds:
+                assert r.tested + r.subsample_size == r.active_start
+                assert r.inside + r.agreed + r.suspected == (
+                    r.subsample_size if r.small_branch else r.tested)
+            starts = [r.active_start for r in out.rounds[1:]] + [0]
+            assert [r.inside for r in out.rounds] == starts
+
     def test_accounting_matches_ledger(self):
         oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 126)
         points = sample_instances(ProblemConfig(dimension=2), 800, make_rng(127))

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -402,14 +399,3 @@ class TestCli:
         )
         assert main(["verify"]) == 1
 
-
-def test_single_run_script():
-    # the script calls the pipeline directly, outside the CLI and harness
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "single_run.py"), "--epsilon", "0.2", "--holdout", "1000"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    starts = [line.split(":")[0] for line in done.stdout.splitlines()]
-    assert "boost seed=0" in starts and "natural seed=0" in starts
