@@ -58,21 +58,18 @@ def ruin_probability(spec: WalkSpec) -> float:
 
 def simulate_ruin(spec: WalkSpec, n_walks: int, rng: np.random.Generator,
                   max_steps: int = 1_000_000) -> float:
-    """Monte Carlo estimate of the ruin probability over n_walks walks."""
-    capital = np.full(n_walks, spec.start_capital, dtype=np.int64)
+    """Monte Carlo estimate of the ruin probability over n_walks walks,
+    stepped vote by vote; a walk still live after max_steps is not ruined."""
+    capital = np.full(n_walks, spec.start_capital, dtype=np.int64)  # live walks only
     total = spec.start_capital + spec.opponent_capital
-    ruined = np.zeros(n_walks, dtype=bool)
-    alive = np.ones(n_walks, dtype=bool)
+    ruined = 0
     for _ in range(max_steps):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+        if capital.size == 0:
             break
-        steps = np.where(rng.random(idx.size) < spec.step_win_prob, 1, -1)
-        capital[idx] += steps
-        newly_ruined = idx[capital[idx] == 0]
-        ruined[newly_ruined] = True
-        alive[idx] = (capital[idx] > 0) & (capital[idx] < total)
-    return float(np.mean(ruined))
+        capital += np.where(rng.random(capital.size) < spec.step_win_prob, 1, -1)
+        ruined += int(np.count_nonzero(capital == 0))
+        capital = capital[(capital > 0) & (capital < total)]
+    return ruined / n_walks
 
 
 def simulate_first_majority(q: float, walk_length: int, toward: bool, n_walks: int,

@@ -3,17 +3,17 @@
 All instances are sorted by randomized quicksort, run level by level: every
 open segment of a recursion level draws its own pivot, and the level's
 pairwise tests, each a k1-vote majority comparison, are charged as one batch
-whose count of wrong tests is drawn rather than its votes.  Until a test
-comes out wrong, every open segment holds a contiguous range of true ranks,
-so a level with no wrong test needs only its segments' sizes: one uniform
-pivot rank per segment splits it, and the final order is the argsort of the
-true keys.  The first level with a wrong test places the rows at their true
-ranks and flips exactly that many of its tests at uniform positions; it and
-every later level run explicitly, asking the oracle row by row.  Rows whose
-keys tie or lie within rounding of each other run explicitly throughout.
-The leftmost positive position is then found by binary search with k2-vote
-majority labels.  Vote sizes come from ``oracles.vote_sizes`` so the whole
-procedure labels everything correctly except with probability delta.
+whose count of wrong tests is drawn rather than its votes.  Each test's true
+answer comes from the true keys x @ w*, the oracle's own definition of a
+comparison.  While the keys are distinct and no test has come out wrong,
+every open segment holds a contiguous range of ranks, so a level needs only
+its segments' sizes: one uniform pivot rank per segment splits it, and the
+final order is the argsort of the keys.  Any other level answers its tests
+from the keys and flips exactly its drawn count of them at uniform
+positions.  The leftmost positive position is then found by binary search
+with k2-vote majority labels.  Vote sizes come from ``oracles.vote_sizes``
+so the whole procedure labels everything correctly except with probability
+delta.
 """
 
 from __future__ import annotations
@@ -70,55 +70,44 @@ def noisy_quicksort(points, k1: int, oracle: CrowdOracle) -> tuple[np.ndarray, i
     permutation of row indices in ascending inferred order and the number of
     pairwise tests, whose k1 votes each are charged to the ledger here.
 
-    While every test so far has been right, each open segment holds a
-    contiguous range of true ranks, and a pivot at a uniform position has a
-    uniform rank.  So a level first draws only how many of its tests come
-    out wrong (``CrowdOracle.wrong_majorities``, which charges them).  While
-    that is 0 it draws one pivot rank r per segment of s rows, and the
-    children have r and s - 1 - r rows; if no level errs, the result is the
-    stable argsort of the true keys ``points @ w*``.  The first level with
-    W > 0 wrong tests places every row at its true rank, so segment
-    [start, start + size) holds ranks start ... start + size - 1, draws its
-    pivots and flips exactly W of its tests at uniform positions; every later
-    level asks ``CrowdOracle.majority``.  Rows whose keys tie, or whose
-    adjacent keys lie within rounding, take that explicit path from the
-    first level, since the ranks do not decide the oracle's answers there.
+    The sort starts from the stable argsort of the true keys ``points @ w*``,
+    and every level first draws only how many of its tests come out wrong
+    (``CrowdOracle.wrong_majorities``, which charges them).  While the keys
+    are distinct and every test so far has been right, each open segment
+    holds a contiguous range of ranks and a pivot at a uniform position has
+    a uniform rank, so such a level draws one pivot rank r per segment of s
+    rows, the children having r and s - 1 - r rows.  Any other level answers
+    its tests from the keys, row >= pivot, and flips exactly the drawn count
+    of them at uniform positions.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
-    order = np.arange(n, dtype=np.intp)
+    keys = points @ oracle.ground_truth.weights
+    order = np.argsort(keys, kind="stable")
     starts = np.zeros(int(n > 1), dtype=np.intp)  # open segments of the level
     sizes = np.full(len(starts), n, dtype=np.intp)
-    ranked = _true_ranks(points, oracle.ground_truth.weights) if n > 1 else None
+    ranked = bool(np.all(np.diff(keys[order]) > 0))  # segments hold rank ranges
     n_tests = 0
     while len(starts):
         tests = int(sizes.sum()) - len(starts)
         n_tests += tests
-        wrong = 0
-        if ranked is not None:
-            wrong = oracle.wrong_majorities(tests, k1, comparisons=True)
-            if not wrong:
-                starts, sizes = _split(starts, sizes, oracle.rng.integers(sizes))
-                continue
-            order, ranked = ranked, None
+        wrong = oracle.wrong_majorities(tests, k1, comparisons=True)
+        if ranked and not wrong:
+            starts, sizes = _split(starts, sizes, oracle.rng.integers(sizes))
+            continue
+        ranked = False
         pivots = starts + oracle.rng.integers(sizes)
         # every slot of `order` in an open segment, and the segment it is in
         segment = np.repeat(np.arange(len(starts)), sizes)
         position = np.arange(len(segment)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
         asked = position != pivots[segment]
-        if wrong:
-            # rows sit at their true ranks, so each true answer is a position's side of its pivot
-            tags = np.where(position[asked] > pivots[segment[asked]], 1, -1)
-            tags[oracle.rng.choice(tests, wrong, replace=False)] *= -1
-        else:
-            tags = oracle.majority(
-                points[order[position[asked]]], k1, reference=points[order[pivots[segment[asked]]]]
-            )
+        tags = np.where(keys[order[position[asked]]] >= keys[order[pivots[segment[asked]]]], 1, -1)
+        tags[oracle.rng.choice(tests, wrong, replace=False)] *= -1
         side = np.ones(len(position), dtype=np.intp)  # 0 left, 1 pivot, 2 right
         side[asked] = np.where(tags == -1, 0, 2)
         order[position] = order[position[np.argsort(3 * segment + side, kind="stable")]]
         starts, sizes = _split(starts, sizes, np.bincount(segment[side == 0], minlength=len(starts)))
-    return (order if ranked is None else ranked), n_tests
+    return order, n_tests
 
 
 def _split(starts, sizes, n_left):
@@ -127,23 +116,6 @@ def _split(starts, sizes, n_left):
     sizes = np.concatenate((n_left, sizes - n_left - 1))
     open_ = sizes > 1
     return np.concatenate((starts, starts + n_left + 1))[open_], sizes[open_]
-
-
-def _true_ranks(points, weights) -> np.ndarray | None:
-    """Stable argsort of the true keys ``points @ weights`` when it decides
-    every comparison among the rows, else None.
-
-    The oracle answers sign((x - y) @ w) in floating point, which is off by
-    at most about (d + 1) eps |x - y| |w| / 2, and each key is off by about
-    d eps |x| |w| / 2, together under 4 d eps max|x| |w|.  So adjacent sorted
-    keys further apart than that give every pair the sign of its key
-    difference; a tie or a closer gap does not.
-    """
-    keys = points @ weights
-    ranked = np.argsort(keys, kind="stable")
-    row_norm = np.sqrt(np.max(np.einsum("ij,ij->i", points, points)))
-    rounding = 4 * points.shape[1] * np.finfo(float).eps * row_norm * np.linalg.norm(weights)
-    return ranked if np.min(np.diff(keys[ranked])) > rounding else None
 
 
 def threshold_search(sorted_points, k2: int, oracle: CrowdOracle) -> tuple[int, int]:

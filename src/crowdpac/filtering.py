@@ -115,14 +115,6 @@ class FilterOutcome:
         return len(self.rounds)
 
     @property
-    def label_queries(self) -> int:
-        return sum(r.label_queries for r in self.rounds)
-
-    @property
-    def comparison_queries(self) -> int:
-        return sum(r.comparison_queries for r in self.rounds)
-
-    @property
     def walk_comparison_queries(self) -> int:
         return sum(r.walk_comparisons for r in self.rounds)
 

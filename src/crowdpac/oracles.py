@@ -3,8 +3,10 @@
 Every response is correct with probability at least 1/2 + margin (alpha for
 labels, beta for comparisons).  Workers are memoryless and each vote comes
 from a freshly drawn worker, so the votes on one question are independent,
-each correct with the crowd's per-vote accuracy q.  The simulator never
-draws the votes: it draws each test's outcome from its exact law.
+each correct with the crowd's per-vote accuracy q.  The true label of x
+is +1 when x @ w* >= 0, and the true answer of comparing x against y is +1
+when x @ w* >= y @ w*, ties included.  The simulator never draws the
+votes: it draws each test's outcome from its exact law.
 
 ``CrowdOracle`` answers batches of questions two ways.  ``majority``
 returns one k-vote majority tag per question and charges its k votes to the
@@ -14,8 +16,8 @@ P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``), independently
 across questions, so one Binomial(n, that tail) draw gives how many of the
 batch's n tags come out wrong, and that many positions, chosen uniformly
 without replacement, are flipped.  ``wrong_majorities`` is that charge and
-draw on its own, for a caller that needs only the count: noisy quicksort
-while every test so far has been right.  ``first_majority`` returns, for each
+draw on its own, for a caller that reads the true answers off the keys
+x @ w* itself: noisy quicksort.  ``first_majority`` returns, for each
 question, the first odd round at which the running majority of its votes
 takes a given sign, drawn by inverse CDF from ``first_majority_law``; it
 charges nothing, leaving the caller to charge the votes it actually reads.
@@ -197,18 +199,21 @@ class CrowdOracle:
 
     def _truths(self, points, reference) -> np.ndarray:
         """True answers of len(points) questions: labels when ``reference``
-        is None, otherwise comparisons of each row against ``reference``,
-        either one row for every question or one row per question."""
+        is None, otherwise comparisons of each row x against ``reference``,
+        either one row y for every question or one row per question.  A
+        comparison is +1 when x @ w* >= y @ w*, ties included: the answer
+        noisy quicksort reads off its keys."""
         points = np.asarray(points, dtype=float)
-        if reference is not None:
-            reference = np.asarray(reference, dtype=float)
-            if reference.shape not in (points.shape[-1:], points.shape):
-                raise ValueError(
-                    f"reference of shape {reference.shape} fits neither one row nor one "
-                    f"row per question of shape {points.shape}"
-                )
-            points = points - reference
-        return self.ground_truth.predict(points)  # checks the dimension
+        if reference is None:
+            return self.ground_truth.predict(points)  # checks the dimension
+        reference = np.asarray(reference, dtype=float)
+        if reference.shape not in (points.shape[-1:], points.shape):
+            raise ValueError(
+                f"reference of shape {reference.shape} fits neither one row nor one "
+                f"row per question of shape {points.shape}"
+            )
+        weights = self.ground_truth.weights
+        return np.where(points @ weights >= reference @ weights, 1, -1)
 
     # -- answering ------------------------------------------------------------
 

@@ -70,10 +70,11 @@ def force_first_wrong_count(oracle, wrong: int) -> None:
     oracle.wrong_majorities = forced
 
 
-def sort_sample(sort, m, k1, beta, seeds, pool=None):
+def sort_sample(sort, m, k1, beta, seeds, pool=None, copies=1):
     """Test counts, descents and fully-sorted flags of ``sort`` over seeds
-    on m distinct rows, checking the ledger on every seed."""
-    points = column_points(make_rng(90, m).permutation(m))
+    on m rows, each key held by ``copies`` of them, checking the ledger on
+    every seed."""
+    points = column_points(make_rng(90, m).permutation(m) // copies)
     tests, descents = np.empty(seeds), np.empty(seeds)
     for seed in range(seeds):
         reference = int(sort is explicit_quicksort)  # its own streams: independent samples
@@ -101,43 +102,54 @@ def assert_same_law(a, b, what):
 
 class TestNoisyQuicksort:
     def test_noiseless_sorts_by_projection(self):
-        # every test right: no row is asked about, and the order is the
-        # stable argsort of the true keys
+        # every test right: the order is the stable argsort of the true keys
         rng = make_rng(51)
         oracle = make_oracle(random_unit_vector(3, rng), 0.5, 0.5, 50)
         points = rng.standard_normal((80, 3))
-        asked = count_majority_calls(oracle)
         order, n_tests = noisy_quicksort(points, 1, oracle)
         assert np.array_equal(order, np.argsort(points @ oracle.ground_truth.weights, kind="stable"))
         assert oracle.ledger.comparison_queries == n_tests
-        assert asked == []
 
-    def test_near_tie_takes_explicit_path(self):
-        # keys 4 ulps apart lie within rounding: the rows are asked level by
-        # level, and a noiseless crowd still sorts them
+    def test_near_tie_follows_key_order(self):
+        # keys 4 ulps apart: the sort and the oracle answer from the same
+        # keys, so a noiseless crowd orders the pair as the keys do
         keys = np.append(np.arange(40.0), 5.0 + 4 * np.spacing(5.0))
+        points = column_points(keys)
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 67)
-        asked = count_majority_calls(oracle)
-        order, n_tests = noisy_quicksort(column_points(keys), 1, oracle)
+        order, n_tests = noisy_quicksort(points, 1, oracle)
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
-        assert sum(asked) == n_tests > 0
+        assert oracle.ledger.comparison_queries == n_tests > 0
+        assert oracle.majority(points[[40]], 1, reference=points[5])[0] == 1
+        assert oracle.majority(points[[5]], 1, reference=points[40])[0] == -1
+        # rows whose keys round to one value tie both ways, as in the sort,
+        # though (x - y) @ w* is not 0 in floating point
+        oracle = make_oracle([0.6, 0.8], 0.5, 0.5, 67)
+        pair = np.array([[0.41, 1.04], [np.nextafter(0.41, 1.0), 1.04]])
+        assert np.ptp(pair @ oracle.ground_truth.weights) == 0
+        assert np.array_equal(oracle.majority(pair, 1, reference=pair[::-1]), [1, 1])
 
     @pytest.mark.parametrize(
-        "m, k1, beta, pool",
+        "m, k1, beta, pool, copies",
         [
-            (40, 9, 0.2, None),
-            (40, 41, 0.2, None),
-            (120, 15, 0.35, None),
-            (300, 1, 0.45, None),
-            (60, 7, 0.35, PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)),
+            (40, 9, 0.2, None, 1),
+            (40, 41, 0.2, None, 1),
+            (120, 15, 0.35, None, 1),
+            (300, 1, 0.45, None, 1),
+            (60, 7, 0.35, PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP), 1),
+            (60, 11, 0.35, None, 6),
         ],
+        # the distinct-key cases are named without their copy count
+        ids=["40-9-0.2-None", "40-41-0.2-None", "120-15-0.35-None", "300-1-0.45-None",
+             "60-7-0.35-pool4", "60-11-0.35-None-ties6"],
     )
-    def test_law_matches_explicit_sort(self, m, k1, beta, pool):
+    def test_law_matches_explicit_sort(self, m, k1, beta, pool, copies):
         # test count, descents of the output and P[fully sorted] against the
         # sort that asks every level, where tests err often enough to matter
         seeds = 300 if m > 100 else 800
-        tests, descents, done = sort_sample(noisy_quicksort, m, k1, beta, seeds, pool)
-        ref_tests, ref_descents, ref_done = sort_sample(explicit_quicksort, m, k1, beta, seeds, pool)
+        tests, descents, done = sort_sample(noisy_quicksort, m, k1, beta, seeds, pool, copies)
+        ref_tests, ref_descents, ref_done = sort_sample(
+            explicit_quicksort, m, k1, beta, seeds, pool, copies
+        )
         assert_same_law(tests, ref_tests, "tests")
         assert_same_law(descents, ref_descents, "descents")
         p = (done.mean() + ref_done.mean()) / 2
@@ -217,10 +229,14 @@ class TestNoisyQuicksort:
         assert sorted(order.tolist()) == list(range(m))
 
     def test_charges_k1_per_test(self):
+        # the sort reads its answers off the keys, wrong tests included: it
+        # asks the oracle only how many come out wrong
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 57)
         points = column_points(make_rng(58).standard_normal(30))
+        asked = count_majority_calls(oracle)
         _, n_tests = noisy_quicksort(points, 7, oracle)
         assert oracle.ledger.comparison_queries == 7 * n_tests
+        assert asked == []
 
 
 class TestThresholdSearch:

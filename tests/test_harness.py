@@ -203,6 +203,23 @@ class TestRunExperiment:
         second = rows_to_csv(run_experiment(cfg))
         assert strip_wall_clock(first) == strip_wall_clock(second)
 
+    def test_d1_sphere_sorts_tied_keys(self):
+        # on the d = 1 sphere every instance is -1 or +1, so each sort
+        # answers its tests from keys that tie with half the others
+        cfg = parse_config_text("d = 1\nepsilon = 0.05\ndistribution = sphere\nseeds = 0:3\n")
+        rows = run_experiment(cfg)
+        assert [(r.algorithm, r.seed) for r in rows] == [
+            (algorithm, seed) for algorithm in ("boost", "natural") for seed in range(3)
+        ]
+        for row in rows:
+            assert row.m_L == row.p1_labels + row.p2_labels + row.p3_labels
+            assert row.m_C == row.p1_comps + row.p2_comps + row.p3_comps
+            assert row.holdout_error <= 0.05
+        rerun = rows_to_csv(run_experiment(cfg))
+        assert strip_wall_clock(rows_to_csv(rows)) == strip_wall_clock(rerun)
+        for row in rows[:3]:
+            assert {"phase2:no_mistakes_found", "phase3:negligible_disagreement"} <= set(row.flags)
+
     def test_parallel_matches_serial(self):
         cfg = parse_config_text(SMALL)
         serial = rows_to_csv(run_experiment(cfg, jobs=1))
