@@ -2,14 +2,16 @@
 
 The ruin probability is the classical biased-walk closed form, the majority
 error an exact binomial tail summation, the Hoeffding bound the plain
-exponential, and the disagreement of two halfspaces their angle over pi.
+exponential, the disagreement of two halfspaces their angle over pi, and the
+mass where two halfspaces both disagree with a third a sum of three angles.
 
 Two of them are also simulation code paths.  ``CrowdOracle.majority`` draws
 its wrong tags from ``majority_error_exact``; the vote-by-vote references in
 ``tests/test_oracles.py`` and the Hoeffding domination check below test it.
-``holdout_error`` of one halfspace draws from ``halfspace_disagreement``;
-the Monte Carlo checks below and the full-dimension holdout references in
-``tests/test_pipeline.py`` test it.  The walk's first-majority law in
+``holdout_error`` draws from ``halfspace_disagreement``, and its majority
+branch from the masses that make up ``pair_disagreement``; the Monte Carlo
+checks below and the full-dimension and exact-arc holdout references in
+``tests/test_pipeline.py`` test them.  The walk's first-majority law in
 ``oracles`` is checked here against a vote-by-vote Monte Carlo, and the
 test count of error-free ``noisy_quicksort``, which draws only segment
 sizes, against quicksort's closed-form mean and variance.
@@ -21,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -161,14 +165,30 @@ def halfspace_disagreement(u, v) -> float:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or not (np.any(u) and np.any(v)):
+    if u.shape != v.shape or u.ndim != 1 or not (u.any() and v.any()):
         raise ValueError("u and v must be nonzero vectors of one dimension")
-    e1 = u / np.linalg.norm(u)
+    # math.sqrt(x @ x) is np.linalg.norm(x) of a real vector, without its overhead
+    e1 = u / math.sqrt(u @ u)
     along = float(v @ e1)
-    across = float(np.linalg.norm(v - along * e1))
-    if across <= 4 * u.size * np.finfo(float).eps * np.linalg.norm(v):
+    rest = v - along * e1
+    across = math.sqrt(rest @ rest)
+    if across <= 4 * u.size * _EPS * math.sqrt(v @ v):
         return 0.0 if along > 0 else 1.0
     return math.atan2(across, along) / math.pi
+
+
+def pair_disagreement(w, u, v) -> float:
+    """Mass on which both sign(u.x) and sign(v.x) differ from sign(w.x) under
+    any rotation-invariant marginal: (theta_wu + theta_wv - theta_uv)/(2 pi).
+
+    The two disagreement sets A_u and A_v have symmetric difference
+    {sign(u.x) != sign(v.x)}, so P(A_u and A_v) = (P(A_u) + P(A_v) -
+    P(A_u xor A_v))/2, each term a ``halfspace_disagreement``.  Rounding is
+    clipped so the mass lies in [0, min(P(A_u), P(A_v))].
+    """
+    p_u, p_v = halfspace_disagreement(w, u), halfspace_disagreement(w, v)
+    both = (p_u + p_v - halfspace_disagreement(u, v)) / 2.0
+    return min(max(both, 0.0), p_u, p_v)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +307,45 @@ def verify_halfspace_disagreement(grid: str, rng: np.random.Generator) -> list[C
     return results
 
 
+def verify_pair_disagreement(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    """``pair_disagreement`` against Gaussian points in d = 5, within 4
+    standard errors of the closed form, at a random pair, a thin pair (both
+    about 1e-3 from w), a pair nearly antiparallel to each other and a pair
+    coplanar with w."""
+    d, batches = 5, (1 if grid == "small" else 5)
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    u0 = rng.standard_normal(d)
+    in_plane = u0 - (u0 @ w) * w
+    in_plane /= np.linalg.norm(in_plane)
+    a, b = rng.uniform(0.0, math.pi, 2)
+    pairs = {
+        "random": rng.standard_normal((2, d)),
+        "thin": w + 1e-3 * rng.standard_normal((2, d)) / math.sqrt(d),
+        "nearly antiparallel": np.array([u0, -u0 + 1e-3 * rng.standard_normal(d)]),
+        "coplanar": np.outer(np.cos([a, b]), w) + np.outer(np.sin([a, b]), in_plane),
+    }
+    results = []
+    for label, (u, v) in pairs.items():
+        exact = pair_disagreement(w, u, v)
+        hits = 0
+        for _ in range(batches):
+            points = rng.standard_normal((200_000, d))
+            truth = points @ w >= 0
+            hits += int(np.count_nonzero(((points @ u >= 0) != truth) & ((points @ v >= 0) != truth)))
+        n = 200_000 * batches
+        gap, se = abs(hits / n - exact), math.sqrt(exact * (1.0 - exact) / n)
+        results.append(
+            CheckResult(
+                name=f"pair disagreement {label} d={d}",
+                passed=gap <= 4 * se,
+                detail=f"closed form {exact:.6g}, monte carlo {hits / n:.6g} over {n} points, "
+                       f"|gap| {gap:.3g} <= 4 SE {4 * se:.3g}",
+            )
+        )
+    return results
+
+
 def verify_first_majority_law(grid: str, rng: np.random.Generator) -> list[CheckResult]:
     """The filter walk's per-side exit laws, correct votes pointing toward
     the exit or away from it, against vote-by-vote walks."""
@@ -359,4 +418,5 @@ def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     results += verify_halfspace_disagreement(grid, rng)
     results += verify_first_majority_law(grid, rng)
     results += verify_quicksort_tests(grid, rng)
+    results += verify_pair_disagreement(grid, rng)
     return results

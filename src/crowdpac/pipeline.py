@@ -10,6 +10,11 @@ It costs no oracle queries: the instances are drawn directly in the two
 antipodal wedges where h1 and h2 disagree, with the draw count a rejection
 sampler would have spent.  The returned classifier is the pointwise majority
 of the three.
+
+The holdout error is free of queries and drawn from its exact law.  A single
+halfspace's is one binomial draw.  The majority's draws only the points
+where the two thinnest voters err, on those voters' wedges, about n (p_1 +
+p_2) of the n holdout points.
 """
 
 from __future__ import annotations
@@ -271,6 +276,20 @@ def _orthonormal_basis(vectors) -> np.ndarray:
     return np.column_stack(columns)
 
 
+def _rotate_onto_wedges(rows, e1, e2, theta: float, rng: np.random.Generator) -> None:
+    """Redraw each row's angle in the plane of the orthonormal e1, e2 uniformly
+    on the wedges [-pi/2, theta - pi/2) and that plus pi, in place, keeping its
+    planar radius and its part orthogonal to the plane.  Those two wedges are
+    where sign(x.e1) differs from sign(x.(cos(theta) e1 + sin(theta) e2)), so
+    a row drawn from a rotation-invariant marginal becomes a draw from that
+    marginal conditioned on the two signs differing."""
+    a, b = rows @ e1, rows @ e2
+    radius = np.hypot(a, b)
+    offset = rng.random(len(rows)) * (2.0 * theta)
+    angle = np.where(offset < theta, offset, offset - theta + math.pi) - math.pi / 2
+    rows += np.outer(radius * np.cos(angle) - a, e1) + np.outer(radius * np.sin(angle) - b, e2)
+
+
 def rejection_sample_disagreements(
     h1: Halfspace,
     h2: Halfspace,
@@ -308,13 +327,7 @@ def rejection_sample_disagreements(
     drawn = int(positions[-1]) if n_accepted == target else max_draws
     rows = sample_instances(problem, n_accepted, rng)
     if p < 1.0:
-        # wedge angles: [-pi/2, theta - pi/2) from w1 towards w2, or that plus pi
-        e1, e2 = basis.T
-        a, b = rows @ e1, rows @ e2
-        radius = np.hypot(a, b)
-        offset = rng.random(n_accepted) * (2.0 * theta)
-        angle = np.where(offset < theta, offset, offset - theta + math.pi) - math.pi / 2
-        rows += np.outer(radius * np.cos(angle) - a, e1) + np.outer(radius * np.sin(angle) - b, e2)
+        _rotate_onto_wedges(rows, *basis.T, theta, rng)
     return rows, drawn
 
 
@@ -340,19 +353,50 @@ def phase3(
     return _sort_label_learn("phase3", sample, oracle, sizes)
 
 
+def _draw_on_wedges(u, v, mass: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` standard normals in the dimension of u and v, conditioned on
+    sign(u.x) != sign(v.x), a set of mass ``mass`` =
+    ``halfspace_disagreement(u, v)``: mass 1 is the whole space, and mass 0
+    takes no rows.  The frame repeats that function's arithmetic, so e2 exists
+    whenever 0 < mass < 1."""
+    rows = rng.standard_normal((count, u.size))
+    if 0.0 < mass < 1.0:
+        e1 = u / np.linalg.norm(u)
+        across = v - float(v @ e1) * e1
+        _rotate_onto_wedges(rows, e1, across / np.linalg.norm(across), math.pi * mass, rng)
+    return rows
+
+
 def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
                   n: int, rng: np.random.Generator) -> float:
     """Disagreement with the ground truth on n fresh instances (free of
     charge: error measurement is instrumentation, not a crowd query).
 
-    ``predictor`` is a Halfspace or a MajorityVote of Halfspaces.  Every sign
-    it and the ground truth take depends only on a point's projection onto
-    the span of their weights (at most 4 dims), and not on its norm; for
-    both marginals that projection's direction is uniform, so the n points
-    are drawn as standard normals in an orthonormal basis of that span.  A
-    single Halfspace errs on each point independently with probability
-    theta/pi (``analytic.halfspace_disagreement``), so its error is one
+    ``predictor`` is a Halfspace or a MajorityVote of three Halfspaces.  Every
+    sign it and the ground truth take depends only on a point's projection
+    onto the span of their weights, and not on its norm.  For both marginals
+    that projection's direction is uniform, so points are standard normals,
+    in an orthonormal basis of that span when d > 4.  A single Halfspace errs
+    on each point independently with probability theta/pi
+    (``analytic.halfspace_disagreement``), so its error is one
     Binomial(n, theta/pi) draw over n.
+
+    The majority errs only where two voters err.  Let A_i be the set where
+    voter i errs, of mass p_i, and let i, j be the two voters of least mass.
+    Every point where the majority errs lies in A_i or in A_j minus A_i, of
+    mass p_j - p_ij = (p_j - p_i + theta_ij/pi)/2 (p_ij is
+    ``analytic.pair_disagreement``).  The two counts are the first cells of
+    the n points' multinomial.  Only those points are drawn, each on its
+    set's wedges, and each is counted when a second voter errs there.  So
+    the error is still a Binomial(n, P(majority errs)) draw over n, from
+    about n (p_i + p_j) normals.
+
+    A_j minus A_i is proposed on the thinner of two wedge pairs that hold it:
+    A_j's own, or the pair where voters i and j disagree.  At least half of
+    the proposals are kept, and each batch has at most n rows.  Voters
+    parallel within the rounding rule of ``halfspace_disagreement`` (and
+    d = 1) give masses of exactly 0 or 1, and a set empty to rounding gets
+    no points.
     """
     voters = predictor.voters if isinstance(predictor, MajorityVote) else (predictor,)
     if not all(isinstance(voter, Halfspace) for voter in voters):
@@ -361,14 +405,38 @@ def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
         raise ValueError("predictor and ground truth must share one dimension")
     if isinstance(predictor, Halfspace):
         return rng.binomial(n, halfspace_disagreement(predictor.weights, ground_truth.weights)) / n
-    basis = _orthonormal_basis([ground_truth.weights] + [voter.weights for voter in voters])
+    if len(voters) != 3:
+        raise ValueError("holdout_error needs a majority of exactly three voters")
+    weights = [ground_truth.weights] + [voter.weights for voter in voters]
+    if ground_truth.dim > len(weights):
+        basis = _orthonormal_basis(weights)
+        weights = [w @ basis for w in weights]
+    truth, *ws = weights
+    mass = [halfspace_disagreement(truth, w) for w in ws]
+    i, j, k = sorted(range(3), key=mass.__getitem__)
+    by_mass = np.column_stack([ws[i], ws[j], ws[k]])
 
-    def project(h: Halfspace) -> Halfspace:
-        return Halfspace(h.weights @ basis)
+    def errs(points):
+        """Whether voters i, j and k err at each point, as three columns."""
+        return (points @ by_mass >= 0) != (points @ truth >= 0)[:, None]
 
-    reduced = MajorityVote(*map(project, voters))
-    points = rng.standard_normal((n, basis.shape[1]))
-    return float(np.mean(reduced.predict(points) != project(ground_truth).predict(points)))
+    # points in A_i: the majority errs where voter j or k errs too
+    in_i = rng.binomial(n, mass[i])
+    wrong = errs(_draw_on_wedges(truth, ws[i], mass[i], in_i, rng))
+    errors = int(np.count_nonzero(wrong[:, 1] | wrong[:, 2]))
+    # points in A_j minus A_i: the majority errs where voter k errs too
+    split = halfspace_disagreement(ws[i], ws[j])
+    only_j = (mass[j] - mass[i] + split) / 2.0 if split else 0.0
+    wanted = rng.binomial(n - in_i, min(only_j / (1.0 - mass[i]), 1.0)) if n > in_i and only_j else 0
+    u, v, proposal = (truth, ws[j], mass[j]) if mass[j] <= split else (ws[i], ws[j], split)
+    while wanted:
+        # only_j / proposal of the proposals are kept: ask for 1.2 times the need
+        batch = min(n, math.ceil(1.2 * wanted * proposal / only_j))
+        wrong = errs(_draw_on_wedges(u, v, proposal, batch, rng))
+        kept = wrong[wrong[:, 1] & ~wrong[:, 0], 2][:wanted]
+        errors += int(np.count_nonzero(kept))
+        wanted -= len(kept)
+    return errors / n
 
 
 def trial_rng(seed: int, algorithm: str) -> np.random.Generator:

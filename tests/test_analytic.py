@@ -10,6 +10,7 @@ from crowdpac.analytic import (
     halfspace_disagreement,
     hoeffding_majority_bound,
     majority_error_exact,
+    pair_disagreement,
     quicksort_expected_tests,
     quicksort_tests_variance,
     ruin_probability,
@@ -157,6 +158,43 @@ class TestHalfspaceDisagreement:
         for u, v in (([1.0, 0.0], [1.0]), ([0.0, 0.0], [1.0, 0.0]), ([[1.0]], [[1.0]])):
             with pytest.raises(ValueError):
                 halfspace_disagreement(u, v)
+
+
+class TestPairDisagreement:
+    def test_coplanar_arcs(self):
+        # in the plane, A_u and A_v are antipodal arcs of widths a and b from
+        # the same side of w's boundary: they overlap on min(a, b) twice
+        a, b = 0.3, 1.1
+        w = np.array([1.0, 0.0])
+        u, v = np.array([math.cos(a), math.sin(a)]), np.array([math.cos(b), math.sin(b)])
+        assert pair_disagreement(w, u, v) == pytest.approx(a / math.pi, abs=1e-15)
+        # on opposite sides the arcs do not meet while a + b <= pi
+        v_other = np.array([math.cos(b), -math.sin(b)])
+        assert pair_disagreement(w, u, v_other) == 0.0
+
+    def test_equal_and_parallel_voters(self):
+        w, u = make_rng(45).standard_normal((2, 6))
+        p = halfspace_disagreement(w, u)
+        assert pair_disagreement(w, u, u) == p
+        assert pair_disagreement(w, u, 2.5 * u) == pytest.approx(p, abs=1e-15)
+        assert pair_disagreement(w, 3.0 * w, u) == 0.0
+        assert pair_disagreement(w, u, -u) == 0.0
+        assert pair_disagreement(w, -w, u) == pytest.approx(p, abs=1e-15)
+
+    def test_thin_pair_keeps_its_digits(self):
+        # u and v 1e-9 from w on perpendicular sides meet on (a + b - hypot(a, b))/(2 pi)
+        a, b = 1e-9, 2e-9
+        w = np.array([1.0, 0.0, 0.0])
+        u, v = np.array([1.0, math.tan(a), 0.0]), np.array([1.0, 0.0, math.tan(b)])
+        expected = (a + b - math.hypot(a, b)) / (2 * math.pi)
+        assert pair_disagreement(w, u, v) == pytest.approx(expected, rel=1e-6)
+
+    def test_within_each_single_mass(self):
+        rng = make_rng(46)
+        for _ in range(200):
+            w, u, v = rng.standard_normal((3, 4))
+            both = pair_disagreement(w, u, v)
+            assert 0.0 <= both <= min(halfspace_disagreement(w, u), halfspace_disagreement(w, v))
 
 
 def test_quicksort_expected_tests_small_cases():

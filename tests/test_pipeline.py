@@ -3,9 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chisquare, f as f_dist, ks_2samp
+from scipy.stats import binom, chi2, chisquare, f as f_dist, ks_2samp
 
-from crowdpac.analytic import boosted_majority_error, halfspace_disagreement
+from crowdpac.analytic import boosted_majority_error, halfspace_disagreement, pair_disagreement
 from crowdpac.filtering import FilterConfig
 from crowdpac.geometry import (
     Distribution,
@@ -361,12 +361,176 @@ class TestHoldout:
             near = Halfspace(w + 1e-12 * random_unit_vector(d, make_rng(253, d)))
             assert holdout_error(majority_combine(h, near, near), truth, problem, 1000, make_rng(254)) == 0.0
 
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_thin_voters_match_full_draw(self, d):
+        # voters as thin as a boosted run's: only the two thinnest error sets are drawn
+        problem = ProblemConfig(dimension=d, target_error=0.1)
+        truth = random_unit_vector(d, make_rng(260, d))
+        combined = majority_combine(*thin_voters(truth, THIN_MASSES, make_rng(261, d)))
+        seeds, n = 100, 20_000
+        drawn = np.array([holdout_error(combined, Halfspace(truth), problem, n, make_rng(262, d, s))
+                          for s in range(seeds)])
+        full = np.array([full_holdout(combined, Halfspace(truth), problem, n, make_rng(263, d, s))
+                         for s in range(seeds)])
+        se = math.sqrt((drawn.var(ddof=1) + full.var(ddof=1)) / seeds)
+        assert abs(drawn.mean() - full.mean()) <= 4 * se
+        ratio = drawn.var(ddof=1) / full.var(ddof=1)
+        tail = min(f_dist.cdf(ratio, seeds - 1, seeds - 1), f_dist.sf(ratio, seeds - 1, seeds - 1))
+        assert 2 * tail > 1e-4
+
+    @pytest.mark.parametrize("key", range(4))
+    def test_thin_voters_match_exact_arcs_in_the_plane(self, key):
+        # the error count is Binomial(n, p) with p the exact arc measure
+        problem = ProblemConfig(dimension=2, target_error=0.1)
+        rng = make_rng(264, key)
+        truth = random_unit_vector(2, rng)
+        masses = np.exp(rng.uniform(math.log(1e-3), math.log(5e-2), 3))
+        voters = thin_voters(truth, masses, rng)
+        p = arc_majority_error(truth, [h.weights for h in voters])
+        seeds, n = 400, 20_000
+        counts = n * np.array([holdout_error(majority_combine(*voters), Halfspace(truth), problem, n,
+                                             make_rng(265, key, s)) for s in range(seeds)])
+        mean, var = n * p, n * p * (1 - p)
+        assert abs(counts.mean() - mean) <= 4 * math.sqrt(var / seeds)
+        statistic = (seeds - 1) * counts.var(ddof=1) / var
+        assert 2 * min(chi2.cdf(statistic, seeds - 1), chi2.sf(statistic, seeds - 1)) > 1e-4
+
+    def test_draws_only_the_thin_error_sets(self):
+        # about n (p_1 + p_2) normal rows, where the full draw takes n
+        d, n = 20, 20_000
+        truth = random_unit_vector(d, make_rng(266))
+        combined = majority_combine(*thin_voters(truth, THIN_MASSES, make_rng(267)))
+        problem = ProblemConfig(dimension=d, target_error=0.1)
+        rows = []
+        for s in range(20):
+            rng = _CountingRng(make_rng(268, s))
+            holdout_error(combined, Halfspace(truth), problem, n, rng)
+            rows.append(rng.rows)
+        assert np.mean(rows) <= 3 * n * (THIN_MASSES[0] + THIN_MASSES[1])
+        assert max(rows) < n / 10
+
     def test_rejects_voters_that_are_not_halfspaces(self):
         truth = Halfspace(np.array([1.0, 0.0]))
         voters = [_FixedErrorVoter(truth, 0.1, s) for s in range(3)]
         for predictor in (MajorityVote(*voters), voters[0]):
             with pytest.raises(TypeError, match="Halfspace"):
                 holdout_error(predictor, truth, PROBLEM, 100, make_rng(249))
+
+
+def thin_voters(truth, masses, rng):
+    """Halfspaces each turned from the unit ``truth`` by pi * mass towards its
+    own random direction, so each errs on the given mass."""
+    voters = []
+    for mass in masses:
+        away = rng.standard_normal(truth.size)
+        away -= (away @ truth) * truth
+        away /= np.linalg.norm(away)
+        angle = math.pi * mass
+        voters.append(Halfspace(math.cos(angle) * truth + math.sin(angle) * away))
+    return voters
+
+
+def arc_majority_error(truth, voters):
+    """Exact mass where a 2-D majority errs: sum the arcs between the sign
+    changes of the truth and the voters on which at least two voters err."""
+    cuts = sorted(
+        (math.atan2(w[1], w[0]) + side * math.pi / 2) % (2 * math.pi)
+        for w in [truth] + voters for side in (1, -1)
+    )
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:] + [cuts[0] + 2 * math.pi]):
+        mid = np.array([math.cos((lo + hi) / 2), math.sin((lo + hi) / 2)])
+        wrong = sum((mid @ w >= 0) != (mid @ truth >= 0) for w in voters)
+        total += (hi - lo) * (wrong >= 2)
+    return total / (2 * math.pi)
+
+
+# error masses of workload-like voters, thinnest first
+THIN_MASSES = (1e-3, 1e-2, 5e-2)
+
+
+class _CountingRng:
+    """A Generator whose ``standard_normal`` counts the rows it returns."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rows = 0
+
+    def standard_normal(self, size):
+        self.rows += size[0]
+        return self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestDegenerateMajorities:
+    """Voters parallel to each other or to the truth, whose majority's error
+    is a closed form."""
+
+    N, SEEDS = 20_000, 100
+
+    def counts(self, voters, truth, key):
+        problem = ProblemConfig(dimension=truth.size, target_error=0.1)
+        return self.N * np.array([
+            holdout_error(majority_combine(*voters), Halfspace(truth), problem, self.N,
+                          make_rng(270, key, s))
+            for s in range(self.SEEDS)
+        ])
+
+    def assert_binomial_mean(self, counts, p):
+        sd = math.sqrt(self.N * p * (1 - p) / len(counts))
+        assert abs(counts.mean() - self.N * p) <= 4 * sd + 1e-12
+
+    def setup_voters(self, key):
+        truth = random_unit_vector(3, make_rng(271, key))
+        return truth, thin_voters(truth, (0.02, 0.05, 0.1), make_rng(272, key))
+
+    def test_two_equal_voters_decide(self):
+        truth, (h1, h2, h3) = self.setup_voters(0)
+        p1 = halfspace_disagreement(h1.weights, truth)
+        self.assert_binomial_mean(self.counts([h1, h1, h3], truth, 0), p1)
+        self.assert_binomial_mean(self.counts([h1, h2, h1], truth, 1), p1)
+        self.assert_binomial_mean(self.counts([h3, h1, h3], truth, 2), halfspace_disagreement(h3.weights, truth))
+
+    def test_voter_equal_to_truth(self):
+        truth, (h1, h2, h3) = self.setup_voters(1)
+        p = pair_disagreement(truth, h2.weights, h3.weights)
+        self.assert_binomial_mean(self.counts([Halfspace(2.0 * truth), h2, h3], truth, 3), p)
+
+    def test_antiparallel_voter(self):
+        # a voter wrong everywhere: the majority errs where either other voter does
+        truth, (h1, h2, h3) = self.setup_voters(2)
+        p1, p2 = (halfspace_disagreement(h.weights, truth) for h in (h1, h2))
+        p = p1 + p2 - pair_disagreement(truth, h1.weights, h2.weights)
+        self.assert_binomial_mean(self.counts([h1, h2, Halfspace(-truth)], truth, 4), p)
+
+    def test_antiparallel_voters_leave_the_third(self):
+        truth, (h1, h2, h3) = self.setup_voters(3)
+        counts = self.counts([h1, Halfspace(-h1.weights), h3], truth, 5)
+        self.assert_binomial_mean(counts, halfspace_disagreement(h3.weights, truth))
+
+    def test_voters_1e12_apart(self):
+        truth, (h1, h2, h3) = self.setup_voters(4)
+        near = Halfspace(h1.weights + 1e-12 * random_unit_vector(3, make_rng(273)))
+        p1 = halfspace_disagreement(h1.weights, truth)
+        self.assert_binomial_mean(self.counts([h1, near, h3], truth, 6), p1)
+        self.assert_binomial_mean(self.counts([near, h3, h1], truth, 7), p1)
+
+    def test_one_dimension(self):
+        truth = np.array([0.7])
+        plus, minus = Halfspace(np.array([2.0])), Halfspace(np.array([-1.0]))
+        problem = ProblemConfig(dimension=1)
+        for voters, expected in (([plus, plus, plus], 0.0), ([plus, minus, plus], 0.0),
+                                 ([minus, plus, minus], 1.0), ([minus, minus, minus], 1.0)):
+            error = holdout_error(majority_combine(*voters), Halfspace(truth), problem, 1000, make_rng(274))
+            assert error == expected
+
+    def test_voter_count_other_than_three_rejected(self):
+        truth = Halfspace(np.array([1.0, 0.0]))
+        for count in (1, 5):
+            with pytest.raises(ValueError, match="three"):
+                holdout_error(MajorityVote(*[truth] * count), truth, PROBLEM, 100, make_rng(275))
 
 
 class _FixedErrorVoter:
