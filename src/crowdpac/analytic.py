@@ -12,9 +12,11 @@ its wrong tags from ``majority_error_exact``; the vote-by-vote references in
 branch from the masses that make up ``pair_disagreement``; the Monte Carlo
 checks below and the full-dimension and exact-arc holdout references in
 ``tests/test_pipeline.py`` test them.  The walk's first-majority law in
-``oracles`` is checked here against a vote-by-vote Monte Carlo, and the
-test count of error-free ``noisy_quicksort``, which draws only segment
-sizes, against quicksort's closed-form mean and variance.
+``oracles`` is checked here against a vote-by-vote Monte Carlo.  The test
+count of error-free ``noisy_quicksort``, which draws segment sizes and then
+the count of every segment of at most 32 rows from
+``quicksort_tests_law``, is checked against quicksort's closed-form mean
+and variance and against that exact law in full, above the 32 rows too.
 """
 
 from __future__ import annotations
@@ -153,6 +155,28 @@ def quicksort_tests_variance(m: int) -> float:
     harmonic = math.fsum(1.0 / i for i in range(1, m + 1))
     harmonic2 = math.fsum(1.0 / (i * i) for i in range(1, m + 1))
     return 7.0 * m * m - 4.0 * (m + 1) ** 2 * harmonic2 - 2.0 * (m + 1) * harmonic + 13.0 * m
+
+
+def quicksort_tests_law(max_rows: int) -> list[np.ndarray]:
+    """Exact laws of the same test count for 0..max_rows items: entry c of
+    row s is P[C_s = c], c = 0..s(s-1)/2.
+
+    The count has no closed-form law (Rösler 1991), but its recurrence
+    C_s = s - 1 + C_U + C'_(s-1-U), U uniform on 0..s-1 and the two
+    subsorts independent, gives each row from the rows below it by
+    convolution; U and s - 1 - U give the same term, so each pair is
+    convolved once.  About 3 ms for 32 rows.
+    """
+    if max_rows < 0:
+        raise ValueError("max_rows must be nonnegative")
+    laws = [np.ones(1), np.ones(1)][: max_rows + 1]
+    for s in range(2, max_rows + 1):
+        law = np.zeros(s * (s - 1) // 2 + 1)
+        for u in range((s + 1) // 2):
+            both = np.convolve(laws[u], laws[s - 1 - u])
+            law[s - 1 : s - 1 + len(both)] += both if 2 * u == s - 1 else 2.0 * both
+        laws.append(law / s)
+    return laws
 
 
 def halfspace_disagreement(u, v) -> float:
@@ -372,21 +396,26 @@ def verify_first_majority_law(grid: str, rng: np.random.Generator) -> list[Check
     return results
 
 
-def verify_quicksort_tests(grid: str, rng: np.random.Generator) -> list[CheckResult]:
-    """Test counts of error-free ``noisy_quicksort`` on distinct rows against
-    the closed-form mean and variance, each within 4 standard errors (the
-    variance's from the sample's fourth central moment)."""
+def _error_free_test_counts(m: int, sorts: int, rng: np.random.Generator) -> np.ndarray:
+    """Test counts of ``sorts`` error-free ``noisy_quicksort`` calls on one
+    shuffle of m distinct rows."""
     from .compare_label import noisy_quicksort  # these import this module
     from .geometry import Halfspace
     from .oracles import CrowdConfig, CrowdOracle
 
+    oracle = CrowdOracle(Halfspace(np.array([1.0, 0.0])), CrowdConfig(alpha=0.5, beta=0.5), rng)
+    points = np.column_stack([rng.permutation(m), np.zeros(m)]).astype(float)
+    return np.array([noisy_quicksort(points, 1, oracle)[1] for _ in range(sorts)])
+
+
+def verify_quicksort_tests(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    """Test counts of error-free ``noisy_quicksort`` on distinct rows against
+    the closed-form mean and variance, each within 4 standard errors (the
+    variance's from the sample's fourth central moment)."""
     sizes, sorts = ((3, 30, 200), 800) if grid == "small" else ((3, 10, 100, 1000), 1500)
-    noiseless = CrowdConfig(alpha=0.5, beta=0.5)
     results = []
     for m in sizes:
-        oracle = CrowdOracle(Halfspace(np.array([1.0, 0.0])), noiseless, rng)
-        points = np.column_stack([rng.permutation(m), np.zeros(m)]).astype(float)
-        counts = np.array([noisy_quicksort(points, 1, oracle)[1] for _ in range(sorts)], dtype=float)
+        counts = _error_free_test_counts(m, sorts, rng).astype(float)
         mean, var = quicksort_expected_tests(m), quicksort_tests_variance(m)
         centred = counts - counts.mean()
         var_se = math.sqrt(max(np.mean(centred**4) - np.var(counts) ** 2, 0.0) / sorts)
@@ -406,6 +435,32 @@ def verify_quicksort_tests(grid: str, rng: np.random.Generator) -> list[CheckRes
     return results
 
 
+def verify_quicksort_tests_law(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    """Test counts of error-free ``noisy_quicksort`` on distinct rows against
+    their exact law (``quicksort_tests_law``) at m = 20, which the sort draws
+    from its table of small segments, and at m = 64, which it first splits
+    by segment sizes.  The largest gap between the empirical and the exact
+    CDF must stay within the DKW bound sqrt(ln(2/a) / 2N) of N sorts, which
+    N draws from the exact law exceed with probability at most a = 1e-4."""
+    sorts = 4000 if grid == "small" else 10_000
+    bound = math.sqrt(math.log(2 / 1e-4) / (2 * sorts))
+    laws = quicksort_tests_law(64)
+    results = []
+    for m in (20, 64):
+        exact = np.cumsum(laws[m])
+        counts = np.bincount(_error_free_test_counts(m, sorts, rng), minlength=len(exact))
+        empirical = np.cumsum(counts) / sorts
+        gap = float(np.max(np.abs(empirical - exact)))
+        results.append(
+            CheckResult(
+                name=f"quicksort test-count law m={m}",
+                passed=gap <= bound,
+                detail=f"max |CDF gap| over {sorts} error-free sorts {gap:.4f} <= DKW bound {bound:.4f}",
+            )
+        )
+    return results
+
+
 def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     """All analytic-oracle checks; `grid` is "small" (fast) or "full"."""
     if grid not in ("small", "full"):
@@ -418,5 +473,6 @@ def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     results += verify_halfspace_disagreement(grid, rng)
     results += verify_first_majority_law(grid, rng)
     results += verify_quicksort_tests(grid, rng)
+    results += verify_quicksort_tests_law(grid, rng)
     results += verify_pair_disagreement(grid, rng)
     return results

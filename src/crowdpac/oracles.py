@@ -16,8 +16,9 @@ P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``), independently
 across questions, so one Binomial(n, that tail) draw gives how many of the
 batch's n tags come out wrong, and that many positions, chosen uniformly
 without replacement, are flipped.  ``wrong_majorities`` is that charge and
-draw on its own, for a caller that reads the true answers off the keys
-x @ w* itself: noisy quicksort.  ``first_majority`` returns, for each
+draw on its own, and ``majority_error`` the tail alone, for a caller that
+reads the true answers off the keys x @ w* itself and charges its own
+votes: noisy quicksort.  ``first_majority`` returns, for each
 question, the first odd round at which the running majority of its votes
 takes a given sign, drawn by inverse CDF from ``first_majority_law``; it
 charges nothing, leaving the caller to charge the votes it actually reads.
@@ -217,18 +218,24 @@ class CrowdOracle:
 
     # -- answering ------------------------------------------------------------
 
+    def majority_error(self, k: int, comparisons: bool) -> float:
+        """Probability P[Bin(k, q) <= (k-1)/2] that one k-vote majority
+        question, a comparison or a label, comes out wrong."""
+        if k < 1 or k % 2 == 0:
+            raise ValueError("majority vote size must be a positive odd count")
+        return _majority_error(k, self._accuracy(comparisons))
+
     def wrong_majorities(self, n: int, k: int, comparisons: bool) -> int:
         """Ask n k-vote majority questions, comparisons or labels, without
         reading their answers: charges n*k to the matching counter of the
         ledger and returns how many of the n come out wrong, a
-        Binomial(n, P[Bin(k, q) <= (k-1)/2]) draw."""
-        if k < 1 or k % 2 == 0:
-            raise ValueError("majority vote size must be a positive odd count")
+        Binomial(n, ``majority_error(k, comparisons)``) draw."""
+        p = self.majority_error(k, comparisons)
         if comparisons:
             self.ledger.charge_comparisons(n * k)
         else:
             self.ledger.charge_labels(n * k)
-        return int(self.rng.binomial(n, _majority_error(k, self._accuracy(comparisons))))
+        return int(self.rng.binomial(n, p))
 
     def majority(self, points, k: int, reference=None) -> np.ndarray:
         """k-vote majority tag for each row of ``points``: its label, or its

@@ -248,7 +248,8 @@ def test_criterion_7_analytic_oracles():
         "exponential bound dominates exact majority error, 3-voter identity within 0.01, "
         "halfspace disagreement angle/pi vs monte carlo on both marginals at d=2,5,20 within 0.01, "
         "walk exit laws vs vote-by-vote walks within 0.01, "
-        "error-free quicksort test-count mean and variance vs closed forms within 4 SE, "
+        "error-free quicksort test-count mean and variance vs closed forms within 4 SE "
+        "and its law vs the exact law within the DKW bound, "
         "pair disagreement vs monte carlo at random, thin, nearly antiparallel and coplanar "
         "pairs within 4 SE)",
     )

@@ -12,6 +12,7 @@ from crowdpac.analytic import (
     majority_error_exact,
     pair_disagreement,
     quicksort_expected_tests,
+    quicksort_tests_law,
     quicksort_tests_variance,
     ruin_probability,
     run_verification,
@@ -205,17 +206,22 @@ def test_quicksort_expected_tests_small_cases():
         quicksort_expected_tests(-1)
 
 
-def test_quicksort_tests_variance_matches_exact_law():
-    # the test count's exact law from C_n = n - 1 + C_U + C'_(n-1-U), U uniform
+def recurrence_laws(max_n):
+    """The test count's exact law for 0..max_n items, as {count: probability},
+    from C_n = n - 1 + C_U + C'_(n-1-U), U uniform."""
     laws = [{0: 1.0}, {0: 1.0}]
-    for n in range(2, 13):
+    for n in range(2, max_n + 1):
         law = {}
         for u in range(n):
             for a, pa in laws[u].items():
                 for b, pb in laws[n - 1 - u].items():
                     law[n - 1 + a + b] = law.get(n - 1 + a + b, 0.0) + pa * pb / n
         laws.append(law)
-    for m, law in enumerate(laws):
+    return laws
+
+
+def test_quicksort_tests_variance_matches_exact_law():
+    for m, law in enumerate(recurrence_laws(12)):
         mean = sum(c * p for c, p in law.items())
         var = sum((c - mean) ** 2 * p for c, p in law.items())
         assert mean == pytest.approx(quicksort_expected_tests(m), abs=1e-9)
@@ -223,6 +229,27 @@ def test_quicksort_tests_variance_matches_exact_law():
     assert quicksort_tests_variance(3) == pytest.approx(2 / 9)
     with pytest.raises(ValueError):
         quicksort_tests_variance(-1)
+
+
+def test_quicksort_tests_law_rows():
+    # every row a law with the closed-form mean and variance, and the first
+    # rows the recurrence's own
+    laws = quicksort_tests_law(32)
+    assert len(laws) == 33
+    for s, law in enumerate(laws):
+        counts = np.arange(len(law))
+        assert len(law) == s * (s - 1) // 2 + 1 and np.all(law >= 0)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        mean = counts @ law
+        assert mean == pytest.approx(quicksort_expected_tests(s), abs=1e-9)
+        assert (counts - mean) ** 2 @ law == pytest.approx(quicksort_tests_variance(s), abs=1e-9)
+    for s, reference in enumerate(recurrence_laws(12)):
+        assert set(np.flatnonzero(laws[s])) == set(reference)
+        for c, p in reference.items():
+            assert laws[s][c] == pytest.approx(p, abs=1e-15)
+    assert [len(law) for law in quicksort_tests_law(1)] == [1, 1]
+    with pytest.raises(ValueError):
+        quicksort_tests_law(-1)
 
 
 def test_small_verification_grid_passes():

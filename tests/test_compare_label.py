@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdpac import compare_label
 from crowdpac.analytic import quicksort_expected_tests
 from crowdpac.compare_label import (
     SortedLabeledSet,
@@ -18,15 +19,17 @@ from crowdpac.oracles import Adversary, PoolModel, vote_sizes
 from conftest import column_points, make_oracle, make_rng
 
 
-def explicit_quicksort(points, k1, oracle):
+def explicit_quicksort(points, k1, oracle, marks=()):
     """Reference: the level-by-level sort asking every level's tests through
-    ``CrowdOracle.majority``, whatever the tests before them answered."""
+    ``CrowdOracle.majority``, whatever the tests before them answered, and
+    flipping the answer of every test whose (level, position) is in
+    ``marks``."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     order = np.arange(n, dtype=np.intp)
     starts = np.zeros(int(n > 1), dtype=np.intp)
     sizes = np.full(len(starts), n, dtype=np.intp)
-    n_tests = 0
+    n_tests, level = 0, 0
     while len(starts):
         pivots = starts + oracle.rng.integers(sizes)
         segment = np.repeat(np.arange(len(starts)), sizes)
@@ -35,6 +38,8 @@ def explicit_quicksort(points, k1, oracle):
         tags = oracle.majority(
             points[order[position[asked]]], k1, reference=points[order[pivots[segment[asked]]]]
         )
+        if marks:
+            tags[[(level, r) in marks for r in position[asked]]] *= -1
         n_tests += len(tags)
         side = np.ones(len(position), dtype=np.intp)
         side[asked] = np.where(tags == -1, 0, 2)
@@ -43,6 +48,7 @@ def explicit_quicksort(points, k1, oracle):
         starts = np.concatenate([starts, starts + n_left + 1])
         sizes = np.concatenate([n_left, sizes - n_left - 1])
         starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+        level += 1
     return order, n_tests
 
 
@@ -56,18 +62,6 @@ def count_majority_calls(oracle) -> list:
 
     oracle.majority = recorded
     return calls
-
-
-def force_first_wrong_count(oracle, wrong: int) -> None:
-    """Make the oracle's first wrong-majority draw come out ``wrong``; it is
-    still charged as drawn, and later draws are left alone."""
-    draw, drawn = oracle.wrong_majorities, []
-
-    def forced(n, k, comparisons):
-        drawn.append(draw(n, k, comparisons))
-        return wrong if len(drawn) == 1 else drawn[-1]
-
-    oracle.wrong_majorities = forced
 
 
 def sort_sample(sort, m, k1, beta, seeds, pool=None, copies=1):
@@ -155,29 +149,54 @@ class TestNoisyQuicksort:
         p = (done.mean() + ref_done.mean()) / 2
         assert abs(done.mean() - ref_done.mean()) <= 4 * math.sqrt(2 * p * (1 - p) / seeds) + 1e-12
 
-    @pytest.mark.parametrize("wrong", [1, 2])
-    def test_first_wrong_level_flips_exactly_its_draw(self, wrong):
-        # the first level's draw forced to `wrong` and later levels noiseless:
-        # the output permutation must follow the reference's law, which
-        # flips exactly that many of the level's tests at uniform positions
+    @pytest.mark.parametrize(
+        "marks",
+        [((0, 0), (0, 1), (0, 2), (0, 3)), ((0, 1), (1, 2))],
+        ids=["level0", "scattered"],
+    )
+    def test_marked_tests_come_out_wrong(self, marks, monkeypatch):
+        # a noiseless crowd with the wrong-test slots forced to `marks`: the
+        # output permutation must follow the reference's law, which flips
+        # exactly the tests at those (level, position) slots
         m, seeds = 4, 1000
         points = column_points(np.arange(m))
+        slots = np.array(sorted(level * m + r for level, r in marks))
+        monkeypatch.setattr(compare_label, "_wrong_slots", lambda n_slots, p, rng: slots)
         laws = []
         for sort in (noisy_quicksort, explicit_quicksort):
             counts = {}
             for seed in range(seeds):
-                oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 68, wrong, len(laws), seed)
-                force_first_wrong_count(oracle, wrong)
-                order, n_tests = sort(points, 3, oracle)
+                oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 68, len(marks), len(laws), seed)
+                args = (points, 3, oracle) + ((set(marks),) if sort is explicit_quicksort else ())
+                order, n_tests = sort(*args)
                 assert oracle.ledger.comparison_queries == 3 * n_tests
-                counts[tuple(order)] = counts.get(tuple(order), 0) + 1
+                counts[tuple(order.tolist())] = counts.get(tuple(order.tolist()), 0) + 1
             laws.append(counts)
         new, ref = laws
-        assert tuple(range(m)) not in new
+        if len(marks) == m:
+            # every level-0 test wrong: the rows above pivot row P go left,
+            # those below it right, and each side then sorts right
+            assert set(new) == {(1, 2, 3, 0), (2, 3, 1, 0), (3, 2, 0, 1), (3, 0, 1, 2)}
         cells = set(new) | set(ref)
         chi2 = sum((new.get(c, 0) - ref.get(c, 0)) ** 2 / (new.get(c, 0) + ref.get(c, 0)) for c in cells)
         dof = len(cells) - 1
         assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+
+    @pytest.mark.parametrize("n_slots, p", [(1000, 0.3), (50_000, 1e-4), (10**12, 1e-12)])
+    def test_wrong_slots_are_iid_marks(self, n_slots, p):
+        # ascending distinct slots in range, Binomial(n_slots, p) of them,
+        # at uniform positions
+        rng = make_rng(69, n_slots)
+        draws = [compare_label._wrong_slots(n_slots, p, rng) for _ in range(2000)]
+        assert all(np.all(np.diff(d) > 0) and np.all((0 <= d) & (d < n_slots)) for d in draws)
+        counts = np.array([len(d) for d in draws])
+        mean, var = n_slots * p, n_slots * p * (1 - p)
+        assert abs(counts.mean() - mean) <= 4 * math.sqrt(var / len(draws))
+        assert abs(counts.var() - var) <= 0.2 * var
+        marks = np.concatenate(draws) / n_slots
+        if len(marks) > 100:
+            assert abs(marks.mean() - 0.5) <= 4 * math.sqrt(1 / 12 / len(marks))
+        assert len(compare_label._wrong_slots(n_slots, 0.0, rng)) == 0
 
     def test_single_instance_no_comparisons(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 52)
@@ -230,7 +249,7 @@ class TestNoisyQuicksort:
 
     def test_charges_k1_per_test(self):
         # the sort reads its answers off the keys, wrong tests included: it
-        # asks the oracle only how many come out wrong
+        # asks the oracle only for a test's chance of coming out wrong
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 57)
         points = column_points(make_rng(58).standard_normal(30))
         asked = count_majority_calls(oracle)
@@ -254,6 +273,21 @@ class TestThresholdSearch:
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 62)
         t, _ = threshold_search(column_points([1.0, 2.0, 3.0]), 1, oracle)
         assert t == 1
+
+    def test_every_threshold_noiseless(self):
+        # every m up to 300 and every split: the true threshold, within the
+        # floor(log2 m) + 1 probes that criterion 2's probe cap relies on,
+        # each charged k2 labels
+        k2 = 3
+        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 59)
+        for m in range(1, 301):
+            cap = math.floor(math.log2(m)) + 1
+            for split in range(m + 1):
+                before = oracle.ledger.label_queries
+                t, probes = threshold_search(column_points(np.arange(m) - split + 0.5), k2, oracle)
+                assert t == split + 1
+                assert 1 <= probes <= cap
+                assert oracle.ledger.label_queries - before == probes * k2
 
     def test_probe_budget_m8(self):
         k2 = 5

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -225,6 +228,27 @@ class TestRunExperiment:
         serial = rows_to_csv(run_experiment(cfg, jobs=1))
         parallel = rows_to_csv(run_experiment(cfg, jobs=2))
         assert strip_wall_clock(serial) == strip_wall_clock(parallel)
+
+    def test_module_entry_point_parallel_matches_serial(self, tmp_path):
+        # the pool spawns its workers, which import the package afresh and
+        # must not re-run `python -m crowdpac`'s command
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )}
+        reports = []
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            done = subprocess.run(
+                [sys.executable, "-m", "crowdpac", "run", "--config", str(cfg_path),
+                 "--out", str(out_dir), "--jobs", str(jobs)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.count("wrote") == 1
+            reports.append(strip_wall_clock((out_dir / "report.csv").read_text()))
+        assert reports[0] == reports[1] and len(reports[0]) == 1 + 4  # both algorithms, 2 seeds
 
 
 class TestSweep:
