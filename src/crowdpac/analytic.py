@@ -5,9 +5,11 @@ error an exact binomial tail summation, the Hoeffding bound the plain
 exponential, the disagreement of two halfspaces their angle over pi, and the
 mass where two halfspaces both disagree with a third a sum of three angles.
 
-Two of them are also simulation code paths.  ``CrowdOracle.majority`` draws
-its wrong tags from ``majority_error_exact``; the vote-by-vote references in
-``tests/test_oracles.py`` and the Hoeffding domination check below test it.
+Two of them are also simulation code paths.  ``CrowdOracle.majority_error``
+is ``majority_error_exact``, from which noisy quicksort and the threshold
+search draw which of their tests err; the vote-by-vote references in
+``tests/test_oracles.py`` and ``tests/test_compare_label.py`` and the
+Hoeffding domination check below test it.
 ``holdout_error`` draws from ``halfspace_disagreement``, and its majority
 branch from the masses that make up ``pair_disagreement``; the Monte Carlo
 checks below and the full-dimension and exact-arc holdout references in

@@ -2,16 +2,18 @@
 
 All instances are sorted by randomized quicksort, run level by level: every
 open segment of a recursion level draws its own pivot and asks its pairwise
-tests, each a k1-vote majority comparison.  Each test's true answer comes
-from the true keys x @ w*, the oracle's own definition of a comparison, and
-which tests come out wrong is drawn once per sort: each test sits at its own
+tests, each a k1-vote majority comparison.  Every answer, of a test and of
+a label probe, comes from the true keys x @ w* by the rule stated in
+``oracles``, and the oracle gives only the chance that a majority errs.
+Which tests come out wrong is drawn once per sort: each test sits at its own
 (level, position) slot, and every slot is marked independently with the
 majority error.  With distinct keys and no marked slot the final order is
 the argsort of the keys, and only the test count is drawn: from segment
 sizes while a segment has more than 32 rows, then from the exact law of
 each smaller segment's count.  Any other sort runs its levels explicitly,
 flipping exactly the tests at marked slots.  The leftmost positive position
-is then found by binary search with k2-vote majority labels.  Vote sizes
+is then found by binary search with k2-vote majority labels, each flipped
+from the true label when its own draw says the majority errs.  Vote sizes
 come from ``oracles.vote_sizes`` so the whole procedure labels everything
 correctly except with probability delta.
 """
@@ -209,19 +211,23 @@ def threshold_search(sorted_points, k2: int, oracle: CrowdOracle) -> tuple[int, 
     search over positions 1..m+1; m+1 means every probe came back negative.
 
     The caller is responsible for the input being sorted.  Probes at most
-    floor(log2 m) + 1 positions, each with a k2-vote majority.
+    floor(log2 m) + 1 positions, each a k2-vote majority label: the true
+    label x @ w* >= 0, flipped when a Bernoulli(``majority_error``) draw
+    comes up 1.  Charges probes * k2 labels to the ledger.
     """
     sorted_points = np.asarray(sorted_points, dtype=float)
-    m = len(sorted_points)
-    lo, hi = 1, m + 1
+    positive = sorted_points @ oracle.ground_truth.weights >= 0
+    p = oracle.majority_error(k2, comparisons=False)
+    lo, hi = 1, len(sorted_points) + 1
     probes = 0
     while lo < hi:
         mid = (lo + hi) // 2
         probes += 1
-        if oracle.majority(sorted_points[mid - 1 : mid], k2)[0] == 1:
+        if positive[mid - 1] != (oracle.rng.binomial(1, p) == 1):
             hi = mid
         else:
             lo = mid + 1
+    oracle.ledger.charge_labels(probes * k2)
     return lo, probes
 
 

@@ -7,8 +7,10 @@ instance whose majorities place it inside the support interval is retained
 for the next round, one whose majority agrees with the hypothesis on its side
 is a confirmed agreement, and one that survives the whole walk without either
 break is a suspected mistake.  Each instance's verdict and walk length are
-drawn from the walk's exact law, and the ledger is charged the votes the
-walk reads.
+drawn from the walk's exact law, given its true comparisons against the
+supports, which are read off the keys x @ w* by the rule stated in
+``oracles``; the ledger is charged the votes the walk reads.  The outcome
+keeps the suspected rows, and per-round counts of every fate.
 """
 
 from __future__ import annotations
@@ -92,18 +94,17 @@ class RoundStats:
 
 @dataclass
 class FilterOutcome:
-    """Partition produced by the filter, with per-round accounting.
+    """Suspected mistakes found by the filter, with per-round accounting.
 
     Every input row has exactly one fate: suspected, confirmed,
-    sub-sampled, or, after an early stop, still active and in none of the
-    index arrays.  The index arrays refer to rows of the input set and are
-    ascending; ``suspected_mistakes`` materializes the suspected rows.
+    sub-sampled, or, after an early stop, still active.  Only the suspects
+    are kept, as ascending rows of the input set in ``suspected_indices``;
+    ``suspected_mistakes`` materializes them, and the ``rounds`` count the
+    other fates.
     """
 
     source: np.ndarray
     suspected_indices: np.ndarray
-    confirmed_indices: np.ndarray
-    subsampled_indices: np.ndarray
     rounds: list[RoundStats] = field(default_factory=list)
 
     @property
@@ -152,22 +153,26 @@ def _walk_verdicts(
     the hypothesis label.  Each side's walk stops at the first check where
     its majority turns to h, independently of the other side: against
     ``below`` (``above``) that means AGREE when h = -1 (+1) and INSIDE
-    otherwise.  So each side's first such round is drawn from its exact law
-    (``CrowdOracle.first_majority``), and the earlier of the two decides,
-    AGREE winning ties.  An absent AGREE side never stops the walk.  An
-    absent INSIDE side stops it at round 1: with the AGREE side alone,
-    INSIDE needs only that side's majority to be -h, the very condition for
-    the walk to go on.
+    otherwise.  A side's true comparison is x @ w* >= ref @ w*, read off
+    the keys, so each side's first such round is drawn from its exact law
+    given whether h is that truth (``CrowdOracle.first_majority``), and the
+    earlier of the two decides, AGREE winning ties.  An absent AGREE side
+    never stops the walk.  An absent INSIDE side stops it at round 1: with
+    the AGREE side alone, INSIDE needs only that side's majority to be -h,
+    the very condition for the walk to go on.
     """
     if support.below is None and support.above is None:
         raise ValueError("interval test needs at least one support instance")
     h_labels = np.asarray(h_labels)
+    weights = oracle.ground_truth.weights
+    keys = points @ weights
     exits = []
     for ref, side in ((support.below, 1), (support.above, -1)):
         if ref is None:
             exits.append(np.where(h_labels == -side, walk_length + 2, 1))
         else:
-            exits.append(oracle.first_majority(points, h_labels, walk_length, reference=ref))
+            toward = (keys >= ref @ weights) == (h_labels == 1)  # truth is the awaited h
+            exits.append(oracle.first_majority(toward, walk_length))
     below, above = exits
     agree = np.where(h_labels == -1, below, above)
     inside = np.where(h_labels == -1, above, below)
@@ -254,7 +259,5 @@ def filter_mistakes(
     return FilterOutcome(
         source=points,
         suspected_indices=np.flatnonzero(fate == _MISTAKE),
-        confirmed_indices=np.flatnonzero(fate == _AGREE),
-        subsampled_indices=np.flatnonzero(fate == _SUBSAMPLED),
         rounds=rounds,
     )

@@ -3,25 +3,25 @@
 Every response is correct with probability at least 1/2 + margin (alpha for
 labels, beta for comparisons).  Workers are memoryless and each vote comes
 from a freshly drawn worker, so the votes on one question are independent,
-each correct with the crowd's per-vote accuracy q.  The true label of x
-is +1 when x @ w* >= 0, and the true answer of comparing x against y is +1
-when x @ w* >= y @ w*, ties included.  The simulator never draws the
-votes: it draws each test's outcome from its exact law.
+each correct with the crowd's per-vote accuracy q.  The simulator never draws
+the votes: it draws each test's outcome from its exact law.
 
-``CrowdOracle`` answers batches of questions two ways.  ``majority``
-returns one k-vote majority tag per question and charges its k votes to the
-``QueryLedger`` (``label_queries`` for labels, ``comparison_queries`` for
-comparisons).  A k-vote majority is wrong with probability
-P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``), independently
-across questions, so one Binomial(n, that tail) draw gives how many of the
-batch's n tags come out wrong, and that many positions, chosen uniformly
-without replacement, are flipped.  ``wrong_majorities`` is that charge and
-draw on its own, and ``majority_error`` the tail alone, for a caller that
-reads the true answers off the keys x @ w* itself and charges its own
-votes: noisy quicksort.  ``first_majority`` returns, for each
-question, the first odd round at which the running majority of its votes
-takes a given sign, drawn by inverse CDF from ``first_majority_law``; it
-charges nothing, leaving the caller to charge the votes it actually reads.
+The true answers follow one rule, read off the keys x @ w*, w* being
+``CrowdOracle.ground_truth.weights``: the true label of x is +1 when
+x @ w* >= 0 (``Halfspace.predict``), and the true answer of comparing x
+against y is +1 when x @ w* >= y @ w*, ties included.  Each caller computes
+the truths it needs from the keys itself, so ``CrowdOracle`` never sees a
+question.  It holds the trial's random generator and ``QueryLedger`` and
+states the crowd's error law two ways.  ``majority_error`` is the
+probability P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``)
+that a k-vote majority comes out wrong, independently across questions: the
+caller draws which of its tests err and charges their k votes each, to
+``label_queries`` for labels and ``comparison_queries`` for comparisons
+(noisy quicksort and the threshold search).  ``first_majority`` returns, for
+each comparison of the filter walk, the first odd round at which the running
+majority of its votes takes the sign the walk waits for, drawn by inverse
+CDF from ``first_majority_law``; it charges nothing, leaving the caller to
+charge the votes it actually reads.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def first_majority_law(q: float, walk_length: int, toward: bool) -> np.ndarray:
 
 
 class CrowdOracle:
-    """Simulated crowd answering label and comparison queries about one
-    ground-truth halfspace.
+    """Simulated crowd asked about one ground-truth halfspace: the error law
+    of its label and comparison tests.
 
     Owns the trial's random generator and ledger; a single oracle must not be
     shared across threads.
@@ -190,33 +190,11 @@ class CrowdOracle:
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
 
-    # -- response model -----------------------------------------------------
-
     def _accuracy(self, comparisons: bool) -> float:
         """Per-vote accuracy q of a comparison or a label question."""
         if self.config.pool is not None:
             return self.config.pool.vote_accuracy
         return 0.5 + (self.config.beta if comparisons else self.config.alpha)
-
-    def _truths(self, points, reference) -> np.ndarray:
-        """True answers of len(points) questions: labels when ``reference``
-        is None, otherwise comparisons of each row x against ``reference``,
-        either one row y for every question or one row per question.  A
-        comparison is +1 when x @ w* >= y @ w*, ties included: the answer
-        noisy quicksort reads off its keys."""
-        points = np.asarray(points, dtype=float)
-        if reference is None:
-            return self.ground_truth.predict(points)  # checks the dimension
-        reference = np.asarray(reference, dtype=float)
-        if reference.shape not in (points.shape[-1:], points.shape):
-            raise ValueError(
-                f"reference of shape {reference.shape} fits neither one row nor one "
-                f"row per question of shape {points.shape}"
-            )
-        weights = self.ground_truth.weights
-        return np.where(points @ weights >= reference @ weights, 1, -1)
-
-    # -- answering ------------------------------------------------------------
 
     def majority_error(self, k: int, comparisons: bool) -> float:
         """Probability P[Bin(k, q) <= (k-1)/2] that one k-vote majority
@@ -225,44 +203,21 @@ class CrowdOracle:
             raise ValueError("majority vote size must be a positive odd count")
         return _majority_error(k, self._accuracy(comparisons))
 
-    def wrong_majorities(self, n: int, k: int, comparisons: bool) -> int:
-        """Ask n k-vote majority questions, comparisons or labels, without
-        reading their answers: charges n*k to the matching counter of the
-        ledger and returns how many of the n come out wrong, a
-        Binomial(n, ``majority_error(k, comparisons)``) draw."""
-        p = self.majority_error(k, comparisons)
-        if comparisons:
-            self.ledger.charge_comparisons(n * k)
-        else:
-            self.ledger.charge_labels(n * k)
-        return int(self.rng.binomial(n, p))
-
-    def majority(self, points, k: int, reference=None) -> np.ndarray:
-        """k-vote majority tag for each row of ``points``: its label, or its
-        comparison against ``reference`` (one row, or one row per question).
-        Charges n*k to the matching counter of the ledger."""
-        tags = self._truths(points, reference)
-        wrong = self.wrong_majorities(tags.size, k, reference is not None)
-        if wrong:
-            tags[self.rng.choice(tags.size, wrong, replace=False)] *= -1
-        return tags
-
-    def first_majority(self, points, sign, walk_length: int, reference=None) -> np.ndarray:
-        """For each question, asked as in ``majority``, the first odd round
-        t <= walk_length at which the majority of its first t fresh votes is
-        ``sign`` (+-1, one for every question or one per question), or
-        walk_length + 2 when there is none.
+    def first_majority(self, toward, walk_length: int) -> np.ndarray:
+        """For each comparison, the first odd round t <= walk_length at which
+        the majority of its first t fresh votes takes the sign the walk waits
+        for, or walk_length + 2 when there is none; ``toward`` (bool, one per
+        comparison) says whether that sign is the comparison's true answer.
 
         Does NOT charge the ledger: a sequential test reads only the votes
         up to the round at which it stops, and its caller charges those.
         """
         if walk_length < 1 or walk_length % 2 == 0:
             raise ValueError("walk length must be a positive odd count")
-        truths = self._truths(points, reference)
-        accuracy = self._accuracy(reference is not None)
-        toward = truths == sign
-        u = self.rng.random(truths.size)
-        index = np.empty(truths.size, dtype=np.int64)
+        toward = np.asarray(toward, dtype=bool)
+        accuracy = self._accuracy(comparisons=True)
+        u = self.rng.random(toward.size)
+        index = np.empty(toward.size, dtype=np.int64)
         for side in (True, False):
             cdf = first_majority_law(accuracy, walk_length, side)
             index[toward == side] = np.searchsorted(cdf, u[toward == side], side="right")

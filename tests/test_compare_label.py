@@ -16,15 +16,18 @@ from crowdpac.compare_label import (
 from crowdpac.geometry import Halfspace, ProblemConfig, random_unit_vector, sample_instances
 from crowdpac.oracles import Adversary, PoolModel, vote_sizes
 
-from conftest import column_points, make_oracle, make_rng
+from conftest import VOTE_ACCURACY, column_points, make_oracle, make_rng, model_oracle
 
 
 def explicit_quicksort(points, k1, oracle, marks=()):
-    """Reference: the level-by-level sort asking every level's tests through
-    ``CrowdOracle.majority``, whatever the tests before them answered, and
-    flipping the answer of every test whose (level, position) is in
-    ``marks``."""
+    """Reference: the level-by-level sort answering every level's tests from
+    the true keys, whatever the tests before them answered, each wrong with
+    its own Bernoulli(``majority_error``) draw, and flipping the answer of
+    every test whose (level, position) is in ``marks``.  Charges k1 per
+    test."""
     points = np.asarray(points, dtype=float)
+    keys = points @ oracle.ground_truth.weights
+    p = oracle.majority_error(k1, comparisons=True)
     n = len(points)
     order = np.arange(n, dtype=np.intp)
     starts = np.zeros(int(n > 1), dtype=np.intp)
@@ -35,9 +38,8 @@ def explicit_quicksort(points, k1, oracle, marks=()):
         segment = np.repeat(np.arange(len(starts)), sizes)
         position = np.arange(len(segment)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
         asked = position != pivots[segment]
-        tags = oracle.majority(
-            points[order[position[asked]]], k1, reference=points[order[pivots[segment[asked]]]]
-        )
+        tags = np.where(keys[order[position[asked]]] >= keys[order[pivots[segment[asked]]]], 1, -1)
+        tags[oracle.rng.random(len(tags)) < p] *= -1
         if marks:
             tags[[(level, r) in marks for r in position[asked]]] *= -1
         n_tests += len(tags)
@@ -49,19 +51,8 @@ def explicit_quicksort(points, k1, oracle, marks=()):
         sizes = np.concatenate([n_left, sizes - n_left - 1])
         starts, sizes = starts[sizes > 1], sizes[sizes > 1]
         level += 1
+    oracle.ledger.charge_comparisons(n_tests * k1)
     return order, n_tests
-
-
-def count_majority_calls(oracle) -> list:
-    """Record the batch size of every ``oracle.majority`` call from now on."""
-    calls, majority = [], oracle.majority
-
-    def recorded(points, k, reference=None):
-        calls.append(len(points))
-        return majority(points, k, reference)
-
-    oracle.majority = recorded
-    return calls
 
 
 def sort_sample(sort, m, k1, beta, seeds, pool=None, copies=1):
@@ -77,6 +68,22 @@ def sort_sample(sort, m, k1, beta, seeds, pool=None, copies=1):
         assert oracle.ledger.comparison_queries == k1 * tests[seed]
         descents[seed] = np.count_nonzero(np.diff(points[order, 0]) < 0)
     return tests, descents, descents == 0
+
+
+def vote_by_vote_threshold(keys, k2, q, trials, rng):
+    """Reference: ``trials`` binary searches over the sorted ``keys`` at
+    once, each probe's label the true label key >= 0 when most of its k2
+    votes, each correct with probability q, are correct.  Returns each
+    search's threshold."""
+    m = len(keys)
+    lo, hi = np.ones(trials, dtype=np.int64), np.full(trials, m + 1)
+    while np.any(searching := lo < hi):
+        mid = (lo + hi) // 2
+        correct = 2 * np.count_nonzero(rng.random((trials, k2)) < q, axis=1) > k2
+        positive = (keys[np.minimum(mid, m) - 1] >= 0) == correct
+        hi = np.where(searching & positive, mid, hi)
+        lo = np.where(searching & ~positive, mid + 1, lo)
+    return lo
 
 
 def assert_same_law(a, b, what):
@@ -105,22 +112,14 @@ class TestNoisyQuicksort:
         assert oracle.ledger.comparison_queries == n_tests
 
     def test_near_tie_follows_key_order(self):
-        # keys 4 ulps apart: the sort and the oracle answer from the same
-        # keys, so a noiseless crowd orders the pair as the keys do
+        # keys 4 ulps apart: every test is answered from the keys, so a
+        # noiseless crowd orders the pair as the keys do
         keys = np.append(np.arange(40.0), 5.0 + 4 * np.spacing(5.0))
         points = column_points(keys)
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 67)
         order, n_tests = noisy_quicksort(points, 1, oracle)
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
         assert oracle.ledger.comparison_queries == n_tests > 0
-        assert oracle.majority(points[[40]], 1, reference=points[5])[0] == 1
-        assert oracle.majority(points[[5]], 1, reference=points[40])[0] == -1
-        # rows whose keys round to one value tie both ways, as in the sort,
-        # though (x - y) @ w* is not 0 in floating point
-        oracle = make_oracle([0.6, 0.8], 0.5, 0.5, 67)
-        pair = np.array([[0.41, 1.04], [np.nextafter(0.41, 1.0), 1.04]])
-        assert np.ptp(pair @ oracle.ground_truth.weights) == 0
-        assert np.array_equal(oracle.majority(pair, 1, reference=pair[::-1]), [1, 1])
 
     @pytest.mark.parametrize(
         "m, k1, beta, pool, copies",
@@ -248,14 +247,10 @@ class TestNoisyQuicksort:
         assert sorted(order.tolist()) == list(range(m))
 
     def test_charges_k1_per_test(self):
-        # the sort reads its answers off the keys, wrong tests included: it
-        # asks the oracle only for a test's chance of coming out wrong
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 57)
         points = column_points(make_rng(58).standard_normal(30))
-        asked = count_majority_calls(oracle)
         _, n_tests = noisy_quicksort(points, 7, oracle)
         assert oracle.ledger.comparison_queries == 7 * n_tests
-        assert asked == []
 
 
 class TestThresholdSearch:
@@ -288,6 +283,33 @@ class TestThresholdSearch:
                 assert t == split + 1
                 assert 1 <= probes <= cap
                 assert oracle.ledger.label_queries - before == probes * k2
+
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("model", list(VOTE_ACCURACY))
+    def test_noisy_law_matches_vote_by_vote_reference(self, model, m):
+        # at every split, the law of the returned threshold against searches
+        # whose every probe counts k2 votes, in one two-sample chi-square
+        # over the (split, threshold) cells; each search charges k2 labels
+        # per probe
+        k2, trials = 3, 2000
+        q = VOTE_ACCURACY[model][1]
+        chi2, dof = 0.0, 0
+        for split in range(m + 1):
+            keys = np.arange(m) - split + 0.5
+            points = column_points(keys)
+            oracle = model_oracle(model, 140, m, split)
+            found = np.empty(trials, dtype=np.int64)
+            for i in range(trials):
+                before = oracle.ledger.label_queries
+                found[i], probes = threshold_search(points, k2, oracle)
+                assert oracle.ledger.label_queries - before == probes * k2
+            ref = vote_by_vote_threshold(keys, k2, q, trials, make_rng(141, m, split))
+            counts = np.bincount(found, minlength=m + 2), np.bincount(ref, minlength=m + 2)
+            total = counts[0] + counts[1]
+            cells = total > 0
+            chi2 += np.sum((counts[0] - counts[1])[cells] ** 2 / total[cells])
+            dof += np.count_nonzero(cells) - 1
+        assert chi2 <= dof + 5 * math.sqrt(2 * dof), (chi2, dof)
 
     def test_probe_budget_m8(self):
         k2 = 5

@@ -284,14 +284,19 @@ class TestFilterConfig:
             filter_mistakes(column_points([1.0, 2.0]), oracle.ground_truth, FilterConfig(), oracle)
 
 
+def subsampled(out):
+    """Rows the filter's walk rounds sub-sampled, sorted and set aside."""
+    return sum(r.subsample_size for r in out.rounds if not r.small_branch)
+
+
 class TestFilterMistakes:
     def test_perfect_hypothesis_noiseless(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 120)
         points = sample_instances(ProblemConfig(dimension=2), 400, make_rng(121))
         out = filter_mistakes(points, oracle.ground_truth, FilterConfig(walk_length=19), oracle)
         assert len(out.suspected_indices) == 0
-        covered = np.sort(np.concatenate([out.confirmed_indices, out.subsampled_indices]))
-        assert np.array_equal(covered, np.arange(400))
+        assert sum(r.suspected for r in out.rounds) == 0
+        assert sum(r.agreed for r in out.rounds) + subsampled(out) == 400
 
     def test_small_input_single_sorting_round(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 122)
@@ -300,7 +305,7 @@ class TestFilterMistakes:
         out = filter_mistakes(points, h, FilterConfig(walk_length=19), oracle)
         assert out.round_count == 1
         assert out.rounds[0].small_branch
-        assert len(out.subsampled_indices) == 0
+        assert subsampled(out) == 0
         # noiseless sorting: suspects are exactly the disagreements
         expected = np.nonzero(h.predict(points) != oracle.ground_truth.predict(points))[0]
         assert np.array_equal(np.sort(out.suspected_indices), expected)
@@ -310,11 +315,12 @@ class TestFilterMistakes:
             oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 124, seed)
             points = sample_instances(ProblemConfig(dimension=2), 600, make_rng(125, seed))
             out = filter_mistakes(points, rotated(0.2), FilterConfig(walk_length=19), oracle)
-            groups = [out.suspected_indices, out.confirmed_indices, out.subsampled_indices]
-            combined = np.concatenate(groups)
-            assert len(combined) == len(np.unique(combined))  # pairwise disjoint
-            assert np.all((combined >= 0) & (combined < 600))
-            assert len(combined) == 600  # loop runs to exhaustion
+            suspects = out.suspected_indices
+            assert np.all(np.diff(suspects) > 0)  # ascending and distinct
+            assert np.all((suspects >= 0) & (suspects < 600))
+            assert len(suspects) == sum(r.suspected for r in out.rounds)
+            # every row has one fate, and the loop runs to exhaustion
+            assert len(suspects) + sum(r.agreed for r in out.rounds) + subsampled(out) == 600
 
     @pytest.mark.parametrize("size, tags, seeds", [(600, (124, 125), 8), (2000, (130, 131), 5)])
     def test_round_stats_match_outcome(self, size, tags, seeds):
@@ -323,9 +329,8 @@ class TestFilterMistakes:
             points = sample_instances(ProblemConfig(dimension=2), size, make_rng(tags[1], seed))
             out = filter_mistakes(points, rotated(0.2), FilterConfig(walk_length=19), oracle)
             assert sum(r.suspected for r in out.rounds) == len(out.suspected_indices)
-            assert sum(r.agreed for r in out.rounds) == len(out.confirmed_indices)
-            walks = [r for r in out.rounds if not r.small_branch]
-            assert sum(r.subsample_size for r in walks) == len(out.subsampled_indices)
+            fates = sum(r.suspected + r.agreed for r in out.rounds) + subsampled(out)
+            assert fates == size
             for r in out.rounds:
                 assert r.tested + r.subsample_size == r.active_start
                 assert r.inside + r.agreed + r.suspected == (
@@ -390,5 +395,6 @@ class TestFilterMistakes:
     def test_single_instance_input(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 136)
         out = filter_mistakes(column_points([0.4]), rotated(0.3), FilterConfig(walk_length=3), oracle)
-        assert out.round_count == 1
-        assert len(out.suspected_indices) + len(out.confirmed_indices) == 1
+        assert out.round_count == 1 and out.rounds[0].small_branch
+        assert out.rounds[0].suspected + out.rounds[0].agreed == 1
+        assert len(out.suspected_indices) == out.rounds[0].suspected

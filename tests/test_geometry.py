@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crowdpac.filtering import _INSIDE, _MISTAKE, SupportPair, _walk_verdicts
 from crowdpac.geometry import (
     Distribution,
     Halfspace,
@@ -16,9 +17,15 @@ from conftest import make_oracle, make_rng
 
 
 def noiseless_compare(gt: Halfspace, x, x_other) -> int:
-    """Noise-free comparison tag sign(w* . (x - x')) from a noiseless oracle."""
+    """Noise-free comparison tag of x against x', +1 when w* . x >= w* . x',
+    read from the filter walk of a noiseless crowd: against x' alone as the
+    ``below`` support, with hypothesis label +1, the walk stops INSIDE at
+    once when the tag is +1 and otherwise never stops, a MISTAKE."""
     oracle = make_oracle(gt.weights, 0.5, 0.5, 0)
-    return oracle.majority(np.asarray(x)[None], 1, reference=x_other)[0]
+    support = SupportPair(below=np.asarray(x_other, dtype=float), above=None)
+    codes, _ = _walk_verdicts(np.asarray(x, dtype=float)[None], support, np.array([1]), 1, oracle)
+    assert codes[0] in (_INSIDE, _MISTAKE)
+    return 1 if codes[0] == _INSIDE else -1
 
 
 class TestClassify:
@@ -45,6 +52,12 @@ class TestTrueCompare:
         gt = Halfspace(np.array([1.0, 0.0]))
         x = np.array([0.4, 0.6])
         assert noiseless_compare(gt, x, x) == 1
+        # rows whose keys round to one value tie both ways, as in the sort,
+        # though (x - y) @ w* is not 0 in floating point
+        gt = Halfspace(np.array([0.6, 0.8]))
+        x, y = np.array([0.41, 1.04]), np.array([np.nextafter(0.41, 1.0), 1.04])
+        assert x @ gt.weights == y @ gt.weights and (x - y) @ gt.weights != 0
+        assert noiseless_compare(gt, x, y) == noiseless_compare(gt, y, x) == 1
 
     def test_lower_projection(self):
         gt = Halfspace(np.array([0.0, 1.0]))

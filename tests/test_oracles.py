@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crowdpac.analytic import majority_error_exact
 from crowdpac.oracles import (
@@ -15,213 +13,39 @@ from crowdpac.oracles import (
     vote_sizes,
 )
 
-from conftest import make_oracle, make_rng
-
-X = np.array([0.7, 0.2])       # truth +1 under weights (1, 0)
-X_LEFT = np.array([-0.3, 0.5])  # truth -1
-
-
-class TestSingleQueries:
-    def test_noiseless_label_always_correct(self):
-        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 11)
-        assert all(oracle.majority(X[None], 1)[0] == 1 for _ in range(200))
-        assert all(oracle.majority(X_LEFT[None], 1)[0] == -1 for _ in range(200))
-
-    def test_label_frequency(self):
-        # Bernoulli(0.8) check at alpha = 0.3
-        oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 12)
-        hits = np.count_nonzero(oracle.majority(np.tile(X, (100_000, 1)), 1) == 1)
-        assert abs(hits / 100_000 - 0.8) <= 0.004
-
-    def test_comparison_frequency(self):
-        oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 13)
-        tags = oracle.majority(np.tile(X, (100_000, 1)), 1, reference=X_LEFT)
-        hits = np.count_nonzero(tags == 1)
-        assert abs(hits / 100_000 - 0.85) <= 0.004
-
-    def test_noiseless_comparison(self):
-        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 14)
-        assert all(oracle.majority(X[None], 1, reference=X_LEFT)[0] == 1 for _ in range(100))
-
-    def test_each_call_charges_one(self):
-        oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 15)
-        oracle.majority(X[None], 1)
-        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (1, 0)
-        oracle.majority(X[None], 1, reference=X_LEFT)
-        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (1, 1)
-
-
-WORKER_MODELS = {
-    "iid": None,
-    "always_wrong": PoolModel(0.9, 0.95, Adversary.ALWAYS_WRONG),
-    "random_flip": PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP),
-}
-
-# (pool, per-vote accuracy) at alpha = beta = 0.2: the pools' floor
-# 0.8 * 0.9 = 0.72 covers 1/2 + 0.2; random_flip adds 0.2 / 2
-VOTE_ACCURACY = {
-    "iid": (None, 0.7),
-    "always_wrong": (PoolModel(0.8, 0.9, Adversary.ALWAYS_WRONG), 0.72),
-    "random_flip": (PoolModel(0.8, 0.9, Adversary.RANDOM_FLIP), 0.82),
-}
-
+from conftest import VOTE_ACCURACY, make_oracle, make_rng, model_oracle
 
 class TestMajorityVotes:
-    def test_vote_counting(self):
-        # under every worker model and for labels, comparisons against one
-        # row and comparisons against one row per question, majority gives
-        # one tag per question and charges n*k; first_majority charges nothing
-        questions = make_rng(19).standard_normal((40, 2))
-        per_row = make_rng(19, 1).standard_normal((40, 2))
-        for model, pool in WORKER_MODELS.items():
-            for reference in (None, X_LEFT, per_row):
-                kind = "label" if reference is None else f"comparison to {reference.shape}"
-                case = f"{model}, {kind}"
-                voter = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
-                lister = make_oracle([1.0, -0.5], 0.35, 0.35, 19, pool=pool)
-                sizes = (1, 5, 5)
-                for k in sizes:
-                    tags = voter.majority(questions, k, reference=reference)
-                    rounds = lister.first_majority(questions, 1, k, reference=reference)
-                    assert tags.shape == rounds.shape == (40,), case
-                    assert np.all(np.isin(tags, (-1, 1))), case
-                charged = (voter.ledger.label_queries, voter.ledger.comparison_queries)
-                votes = 40 * sum(sizes)
-                assert charged == ((votes, 0) if reference is None else (0, votes)), case
-                listed_charge = (lister.ledger.label_queries, lister.ledger.comparison_queries)
-                assert listed_charge == (0, 0), case
-
-                empty = np.empty((0, 2))
-                no_rows = reference[:0] if reference is per_row else reference
-                assert voter.majority(empty, 3, reference=no_rows).shape == (0,), case
-                assert lister.first_majority(empty, 1, 3, reference=no_rows).shape == (0,), case
-                assert (voter.ledger.label_queries, voter.ledger.comparison_queries) == charged
-                with pytest.raises(ValueError):
-                    voter.majority(questions, 4, reference=reference)
-
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     @pytest.mark.parametrize("model", list(VOTE_ACCURACY))
     def test_matches_vote_by_vote_reference(self, model, k):
-        # the batch's wrong share against k Bernoulli(q) votes per question,
-        # for labels and both reference shapes; wrong tags spread over the
-        # batch as they do over independent questions
-        pool, q = VOTE_ACCURACY[model]
+        # the error of one k-vote majority against the wrong share of
+        # questions each voted by k Bernoulli(q) votes, for labels and for
+        # comparisons, each at its own oracle's accuracy
         n = 20_000
-        questions = make_rng(28, k).standard_normal((n, 2))
-        per_row = make_rng(28, k, 1).standard_normal((n, 2))
-        for reference in (None, X_LEFT, per_row):
-            oracle = make_oracle([1.0, -0.5], 0.2, 0.2, 28, k, pool=pool)
-            truths = oracle.ground_truth.predict(
-                questions if reference is None else questions - reference
-            )
-            tags = oracle.majority(questions, k, reference=reference)
-            wrong = np.count_nonzero(tags != truths) / n
-            votes = make_rng(29, k).random((n, k)) < q
+        oracle = model_oracle(model, 28, k)
+        for comparisons, q in zip((False, True), VOTE_ACCURACY[model][1:]):
+            p = oracle.majority_error(k, comparisons)
+            votes = make_rng(29, k, int(comparisons)).random((n, k)) < q
             reference_wrong = np.count_nonzero(2 * votes.sum(axis=1) < k) / n
-            pooled = (wrong + reference_wrong) / 2
-            se = math.sqrt(2 * pooled * (1 - pooled) / n)
-            assert abs(wrong - reference_wrong) <= 4 * se, (reference, wrong, reference_wrong)
-            halves = [np.count_nonzero(half) / (n // 2) for half in np.split(tags != truths, 2)]
-            assert abs(halves[0] - halves[1]) <= 4 * math.sqrt(4 * pooled * (1 - pooled) / n)
-            charged = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
-            assert charged == ((n * k, 0) if reference is None else (0, n * k))
-
-    @pytest.mark.parametrize("pool", [None, PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)])
-    def test_wrong_majorities_count_and_charge(self, pool):
-        # the count alone, at each oracle's own accuracy: 1/2 + alpha for
-        # labels and 1/2 + beta for comparisons, or the pool's vote accuracy
-        n, k = 100_000, 3
-        oracle = make_oracle([1.0, 0.0], 0.1, 0.3, 31, pool=pool)
-        for comparisons, margin in ((False, 0.1), (True, 0.3)):
-            q = 0.5 + margin if pool is None else pool.vote_accuracy
-            p = majority_error_exact(k, q)
-            wrong = oracle.wrong_majorities(n, k, comparisons)
-            assert abs(wrong - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (comparisons, wrong)
-        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (n * k, n * k)
-        with pytest.raises(ValueError):
-            oracle.wrong_majorities(n, 2, True)
-
-    def test_reference_shape_checked(self):
-        # a reference is one row of the questions' width or exactly one row
-        # per question; any other shape raises before anything is charged
-        oracle = make_oracle([1.0, 0.0], 0.35, 0.35, 27)
-        questions = make_rng(27).standard_normal((5, 2))
-        bad = [np.zeros(shape) for shape in ((4, 2), (6, 2), (1, 2), (5, 3), (3,), (1, 5, 2))]
-        for reference in bad:
-            with pytest.raises(ValueError):
-                oracle.majority(questions, 3, reference=reference)
-            with pytest.raises(ValueError):
-                oracle.first_majority(questions, 1, 3, reference=reference)
-        assert oracle.ledger.comparison_queries == 0
+            assert abs(p - reference_wrong) <= 4 * math.sqrt(p * (1 - p) / n), (comparisons, p)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (0, 0)
 
     def test_even_k_rejected(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 20)
         with pytest.raises(ValueError):
-            oracle.majority(X[None], 4)
+            oracle.majority_error(4, comparisons=False)
         with pytest.raises(ValueError):
-            oracle.majority(X[None], 2, reference=X_LEFT)
-
-    def test_k_one_charges_one(self):
-        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 21)
-        assert oracle.majority(X[None], 1)[0] == 1
-        assert oracle.ledger.label_queries == 1
-        assert oracle.majority(X[None], 1, reference=X_LEFT)[0] == 1
-        assert oracle.ledger.comparison_queries == 1
-
-    def test_majority_charges_k(self):
-        oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 22)
-        oracle.majority(X[None], 5)
-        oracle.majority(X[None], 7, reference=X_LEFT)
-        assert oracle.ledger.label_queries == 5
-        assert oracle.ledger.comparison_queries == 7
+            oracle.majority_error(2, comparisons=True)
 
     def test_error_rate_matches_binomial_tail(self):
         # alpha = 0.4 -> per-vote correctness 0.9; k = 5
-        oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 23)
-        wrong = np.count_nonzero(oracle.majority(np.tile(X, (10_000, 1)), 5) != 1)
-        exact = majority_error_exact(5, 0.9)
-        se = math.sqrt(exact * (1 - exact) / 10_000)
-        assert abs(wrong / 10_000 - exact) <= 3 * se
+        oracle = make_oracle([1.0, 0.0], 0.4, 0.2, 23)
+        assert oracle.majority_error(5, comparisons=False) == majority_error_exact(5, 0.9)
 
     def test_comparison_error_rate_matches_binomial_tail(self):
-        oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 24)
-        tags = oracle.majority(np.tile(X, (10_000, 1)), 5, reference=X_LEFT)
-        wrong = np.count_nonzero(tags != 1)
-        exact = majority_error_exact(5, 0.9)
-        se = math.sqrt(exact * (1 - exact) / 10_000)
-        assert abs(wrong / 10_000 - exact) <= 3 * se
-
-    def test_batch_matches_scalar_semantics(self):
-        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 25)
-        points = np.array([[0.5, 0.0], [-0.5, 0.0], [2.0, 1.0]])
-        tags = oracle.majority(points, 3, reference=np.array([0.0, 0.0]))
-        assert np.array_equal(tags, [1, -1, 1])
-        assert oracle.ledger.comparison_queries == 9
-        # one reference row per question: row i is compared with row i only
-        tags = oracle.majority(points, 3, reference=points[::-1])
-        assert np.array_equal(tags, [-1, 1, 1])  # the middle pair ties
-        assert oracle.ledger.comparison_queries == 18
-
-    @given(st.lists(st.sampled_from(["label", "compare", "maj3", "maj5c"]), max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_ledger_exactness(self, ops):
-        oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 26)
-        expect_labels = expect_comps = 0
-        for op in ops:
-            if op == "label":
-                oracle.majority(X[None], 1)
-                expect_labels += 1
-            elif op == "compare":
-                oracle.majority(X[None], 1, reference=X_LEFT)
-                expect_comps += 1
-            elif op == "maj3":
-                oracle.majority(X[None], 3)
-                expect_labels += 3
-            else:
-                oracle.majority(X[None], 5, reference=X_LEFT)
-                expect_comps += 5
-        assert oracle.ledger.label_queries == expect_labels
-        assert oracle.ledger.comparison_queries == expect_comps
+        oracle = make_oracle([1.0, 0.0], 0.2, 0.4, 24)
+        assert oracle.majority_error(5, comparisons=True) == majority_error_exact(5, 0.9)
 
 
 class TestFirstMajority:
@@ -239,19 +63,21 @@ class TestFirstMajority:
     @pytest.mark.parametrize("toward", [True, False])
     def test_matches_vote_by_vote_reference(self, toward):
         n, walk, q = 40_000, 9, 0.7
-        oracle = make_oracle([1.0, 0.0], 0.2, 0.2, 34, int(toward))
-        sign = 1 if toward else -1  # X's true label is +1
-        rounds = oracle.first_majority(np.tile(X, (n, 1)), sign, walk)
-        votes = np.where(make_rng(35, int(toward)).random((n, walk)) < q, 1, -1) * sign
+        # a label accuracy apart from q: the walk votes on comparisons
+        oracle = make_oracle([1.0, 0.0], 0.45, 0.2, 34, int(toward))
+        rounds = oracle.first_majority(np.full(n, toward), walk)
+        # +1 for a vote of the awaited sign
+        votes = np.where(make_rng(35, int(toward)).random((n, walk)) < q, 1, -1) * (1 if toward else -1)
         hits = np.cumsum(votes, axis=1)[:, ::2] > 0
         reference = np.where(hits.any(axis=1), 2 * hits.argmax(axis=1) + 1, walk + 2)
         for t in range(1, walk + 3, 2):
             p = (np.count_nonzero(rounds == t) + np.count_nonzero(reference == t)) / (2 * n)
             se = math.sqrt(2 * p * (1 - p) / n)
             assert abs(np.count_nonzero(rounds == t) - np.count_nonzero(reference == t)) / n <= 4 * se, t
+        assert oracle.first_majority(np.empty(0, dtype=bool), walk).shape == (0,)
         assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (0, 0)
         with pytest.raises(ValueError):
-            oracle.first_majority(X[None], sign, 4)
+            oracle.first_majority(np.ones(1, dtype=bool), 4)
 
 
 class TestVoteSizes:
@@ -304,18 +130,15 @@ class TestPoolModel:
         # a*p = 0.855 exactly equals 1/2 + alpha
         pool = PoolModel(0.9, 0.95, Adversary.ALWAYS_WRONG)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 30, pool=pool)
-        n = 100_000
-        hits = np.count_nonzero(oracle.majority(np.tile(X, (n, 1)), 1) == 1)
-        sigma = math.sqrt(0.855 * 0.145 / n)
-        assert hits / n >= 0.855 - 3 * sigma
+        for comparisons in (False, True):
+            assert 1 - oracle.majority_error(1, comparisons) == pytest.approx(0.855, abs=1e-12)
 
     def test_random_flip_beats_floor(self):
         pool = PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 31, pool=pool)
-        n = 50_000
-        hits = np.count_nonzero(oracle.majority(np.tile(X, (n, 1)), 1) == 1)
         # effective correctness a*p + (1-a)/2 = 0.905
-        assert hits / n >= 0.88
+        for comparisons in (False, True):
+            assert 1 - oracle.majority_error(1, comparisons) == pytest.approx(0.905, abs=1e-12)
 
     @pytest.mark.parametrize(
         "adversary, effective",
@@ -326,12 +149,9 @@ class TestPoolModel:
         # errs like one over i.i.d. votes of accuracy a*p + (1-a)*(0 or 1/2)
         pool = PoolModel(0.9, 0.95, adversary)
         oracle = make_oracle([1.0, 0.0], 0.355, 0.355, 32, pool=pool)
-        n, k = 40_000, 5
-        exact = majority_error_exact(k, effective)
-        se = math.sqrt(exact * (1 - exact) / n)
-        for reference in (None, X_LEFT):
-            wrong = np.count_nonzero(oracle.majority(np.tile(X, (n, 1)), k, reference=reference) != 1)
-            assert abs(wrong / n - exact) <= 3 * se, reference
+        for comparisons in (False, True):
+            exact = majority_error_exact(5, effective)
+            assert oracle.majority_error(5, comparisons) == pytest.approx(exact, rel=1e-12)
 
     def test_pool_field_validation(self):
         with pytest.raises(ValueError):
