@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdpac.analytic import majority_error_exact
+from crowdpac.compare_label import noisy_quicksort, threshold_search
 from crowdpac.oracles import (
     Adversary,
     CrowdConfig,
@@ -15,7 +18,94 @@ from crowdpac.oracles import (
 
 from conftest import VOTE_ACCURACY, make_oracle, make_rng, model_oracle
 
+X = np.array([0.7, 0.2])       # truth +1 under weights (1, 0)
+X_LEFT = np.array([-0.3, 0.5])  # truth -1
+PAIR = np.array([X_LEFT, X])   # in ascending key order
+
+
+def ask_label(oracle, x, k) -> int:
+    """One k-vote label question, asked as the threshold search probes."""
+    threshold, probes = threshold_search(x[None], k, oracle)
+    assert probes == 1
+    return 1 if threshold == 1 else -1
+
+
+def ask_comparison(oracle, k) -> int:
+    """One k-vote comparison of X against X_LEFT, asked as noisy quicksort
+    tests a row against its pivot: +1 when the sort keeps X on the right."""
+    order, n_tests = noisy_quicksort(PAIR, k, oracle)
+    assert n_tests == 1
+    return 1 if order[0] == 0 else -1
+
+
+class TestSingleQueries:
+    def test_noiseless_label_always_correct(self):
+        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 11)
+        assert oracle.majority_error(1, comparisons=False) == 0.0
+        assert all(ask_label(oracle, X, 1) == 1 for _ in range(200))
+        assert all(ask_label(oracle, X_LEFT, 1) == -1 for _ in range(200))
+
+    def test_label_frequency(self):
+        # Bernoulli(0.8) check at alpha = 0.3, comparisons apart at beta = 0.45
+        oracle = make_oracle([1.0, 0.0], 0.3, 0.45, 12)
+        hits = sum(ask_label(oracle, X, 1) == 1 for _ in range(100_000))
+        assert abs(hits / 100_000 - 0.8) <= 0.004
+
+    def test_comparison_frequency(self):
+        # one comparison vote, as the filter walk reads it, is right with
+        # probability 1/2 + beta = 0.85 whichever sign the walk waits for
+        oracle = make_oracle([1.0, 0.0], 0.2, 0.35, 13)
+        for toward, right in ((True, 0.85), (False, 0.15)):
+            rounds = oracle.first_majority(np.full(100_000, toward), 1)
+            assert np.all((rounds == 1) | (rounds == 3))
+            hits = np.count_nonzero(rounds == 1)
+            assert abs(hits / 100_000 - right) <= 0.004, toward
+
+    def test_noiseless_comparison(self):
+        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 14)
+        assert all(ask_comparison(oracle, 1) == 1 for _ in range(100))
+        assert np.all(oracle.first_majority(np.ones(100, dtype=bool), 1) == 1)
+
+    def test_each_call_charges_one(self):
+        oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 15)
+        ask_label(oracle, X, 1)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (1, 0)
+        ask_comparison(oracle, 1)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (1, 1)
+
+
 class TestMajorityVotes:
+    def test_vote_counting(self):
+        # under every worker model the threshold search charges k label
+        # votes per probe and noisy quicksort k comparison votes per test;
+        # first_majority charges nothing, and empty inputs charge nothing
+        questions = make_rng(19).standard_normal((40, 2))
+        for model in VOTE_ACCURACY:
+            oracle = model_oracle(model, 19)
+            ordered = questions[np.argsort(questions @ oracle.ground_truth.weights)]
+            expected = np.zeros(2, dtype=np.int64)
+            for k in (1, 5, 5):
+                _, probes = threshold_search(ordered, k, oracle)
+                order, n_tests = noisy_quicksort(questions, k, oracle)
+                rounds = oracle.first_majority(questions[:, 0] > 0, k)
+                assert 1 <= probes <= math.floor(math.log2(40)) + 1, model
+                assert sorted(order) == list(range(40)) and n_tests >= 39, model
+                assert rounds.shape == (40,), model
+                assert np.all((rounds % 2 == 1) & (rounds <= k + 2)), model
+                expected += (probes * k, n_tests * k)
+            charged = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
+            assert charged == tuple(expected), model
+
+            empty = np.empty((0, 2))
+            assert threshold_search(empty, 3, oracle) == (1, 0), model
+            assert noisy_quicksort(empty, 3, oracle)[1] == 0, model
+            assert oracle.first_majority(np.empty(0, dtype=bool), 3).shape == (0,), model
+            assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == charged
+            with pytest.raises(ValueError):
+                threshold_search(ordered, 4, oracle)
+            with pytest.raises(ValueError):
+                noisy_quicksort(questions, 4, oracle)
+
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     @pytest.mark.parametrize("model", list(VOTE_ACCURACY))
     def test_matches_vote_by_vote_reference(self, model, k):
@@ -30,6 +120,23 @@ class TestMajorityVotes:
             reference_wrong = np.count_nonzero(2 * votes.sum(axis=1) < k) / n
             assert abs(p - reference_wrong) <= 4 * math.sqrt(p * (1 - p) / n), (comparisons, p)
         assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (0, 0)
+
+    @pytest.mark.parametrize("pool", [None, PoolModel(0.9, 0.95, Adversary.RANDOM_FLIP)])
+    def test_wrong_majorities_count_and_charge(self, pool):
+        # the count of wrong k-vote majorities at each oracle's own accuracy:
+        # 1/2 + alpha for the threshold search's labels and 1/2 + beta for
+        # noisy quicksort's comparisons, or the pool's vote accuracy
+        k = 3
+        oracle = make_oracle([1.0, 0.0], 0.1, 0.3, 31, pool=pool)
+        for comparisons, margin, n in ((False, 0.1, 40_000), (True, 0.3, 5_000)):
+            q = 0.5 + margin if pool is None else pool.vote_accuracy
+            p = majority_error_exact(k, q)
+            if comparisons:
+                wrong = sum(ask_comparison(oracle, k) == -1 for _ in range(n))
+            else:
+                wrong = sum(ask_label(oracle, X, k) == -1 for _ in range(n))
+            assert abs(wrong - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (comparisons, wrong)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (40_000 * k, 5_000 * k)
 
     def test_even_k_rejected(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 20)
@@ -46,6 +153,55 @@ class TestMajorityVotes:
     def test_comparison_error_rate_matches_binomial_tail(self):
         oracle = make_oracle([1.0, 0.0], 0.2, 0.4, 24)
         assert oracle.majority_error(5, comparisons=True) == majority_error_exact(5, 0.9)
+
+    def test_k_one_charges_one(self):
+        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 21)
+        assert ask_label(oracle, X, 1) == 1
+        assert oracle.ledger.label_queries == 1
+        assert ask_comparison(oracle, 1) == 1
+        assert oracle.ledger.comparison_queries == 1
+
+    def test_majority_charges_k(self):
+        oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 22)
+        ask_label(oracle, X, 5)
+        ask_comparison(oracle, 7)
+        assert oracle.ledger.label_queries == 5
+        assert oracle.ledger.comparison_queries == 7
+
+    def test_batch_matches_scalar_semantics(self):
+        # a noiseless crowd answers each question of a batch as it would
+        # alone: the walk's comparisons stop at round 1 when they wait for
+        # their truth and never otherwise, and a label at x @ w* = 0 is +1
+        oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 25)
+        toward = np.array([True, False, True, False])
+        assert np.array_equal(oracle.first_majority(toward, 3), [1, 5, 1, 5])
+        assert oracle.first_majority(toward[:1], 3)[0] == 1
+        assert oracle.first_majority(toward[1:2], 3)[0] == 5
+        points = np.array([[-0.5, 0.0], [0.0, 1.0], [2.0, 1.0]])
+        assert threshold_search(points, 3, oracle) == (2, 2)
+        assert ask_label(oracle, points[1], 3) == 1
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (9, 0)
+
+    @given(st.lists(st.sampled_from(["label", "compare", "maj3", "maj5c"]), max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_ledger_exactness(self, ops):
+        oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 26)
+        expect_labels = expect_comps = 0
+        for op in ops:
+            if op == "label":
+                ask_label(oracle, X, 1)
+                expect_labels += 1
+            elif op == "compare":
+                ask_comparison(oracle, 1)
+                expect_comps += 1
+            elif op == "maj3":
+                ask_label(oracle, X, 3)
+                expect_labels += 3
+            else:
+                ask_comparison(oracle, 5)
+                expect_comps += 5
+        assert oracle.ledger.label_queries == expect_labels
+        assert oracle.ledger.comparison_queries == expect_comps
 
 
 class TestFirstMajority:
