@@ -14,7 +14,9 @@ Hoeffding domination check below test it.
 branch from the masses that make up ``pair_disagreement``; the Monte Carlo
 checks below and the full-dimension and exact-arc holdout references in
 ``tests/test_pipeline.py`` test them.  The walk's first-majority law in
-``oracles`` is checked here against a vote-by-vote Monte Carlo.  The test
+``oracles`` is checked here against a vote-by-vote Monte Carlo, and so is
+the joint (verdict, rounds) law of each walk class that ``filtering``
+builds from it and draws every filter row from.  The test
 count of error-free ``noisy_quicksort``, which draws segment sizes and then
 the count of every segment of at most 32 rows from
 ``quicksort_tests_law``, is checked against quicksort's closed-form mean
@@ -23,6 +25,7 @@ and variance and against that exact law in full, above the 32 rows too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -398,6 +401,49 @@ def verify_first_majority_law(grid: str, rng: np.random.Generator) -> list[Check
     return results
 
 
+def verify_walk_laws(grid: str, rng: np.random.Generator) -> list[CheckResult]:
+    """The filter walk's joint (verdict, rounds) law of every class with a
+    present side (``filtering.walk_laws``) against pairs of vote-by-vote
+    first-majority rounds, one per side (``simulate_first_majority``): the
+    earlier decides, AGREE winning ties, an absent AGREE side never breaks
+    and an absent INSIDE side breaks at round 1.  In each class the largest
+    gap between the empirical and the exact CDF over the law's columns must
+    stay within the DKW bound sqrt(ln(2/a) / 2N) of N walks, which N draws
+    from the exact law exceed with probability at most a = 1e-4."""
+    from .filtering import walk_laws  # filtering imports oracles, which imports this module
+
+    lengths, walks = ((19,), 4000) if grid == "small" else ((3, 19, 27), 10_000)
+    bound = math.sqrt(math.log(2 / 1e-4) / (2 * walks))
+    results = []
+    for q in (0.6, 0.85, 0.905):
+        for walk_length in lengths:
+            laws, k = walk_laws(q, walk_length), (walk_length + 1) // 2
+            gap = 0.0
+            for row, (h, below, above) in enumerate(itertools.product(range(2), range(3), range(3))):
+                if below == above == 2:
+                    continue
+                agree, inside = (below, above) if h == 0 else (above, below)
+                e_agree, e_inside = (
+                    np.full(walks, absent) if state == 2
+                    else simulate_first_majority(q, walk_length, state == 0, walks, rng)
+                    for state, absent in ((agree, walk_length + 2), (inside, 1))
+                )
+                column = np.where(
+                    e_agree <= np.minimum(e_inside, walk_length), e_agree // 2,
+                    np.where(e_inside <= walk_length, k + e_inside // 2, 2 * k),
+                )
+                empirical = np.cumsum(np.bincount(column, minlength=2 * k + 1)) / walks
+                gap = max(gap, float(np.max(np.abs(empirical - np.cumsum(laws[row])))))
+            results.append(
+                CheckResult(
+                    name=f"walk class laws q={q} N={walk_length}",
+                    passed=gap <= bound,
+                    detail=f"max |CDF gap| over 16 classes of {walks} walks {gap:.4f} <= DKW bound {bound:.4f}",
+                )
+            )
+    return results
+
+
 def _error_free_test_counts(m: int, sorts: int, rng: np.random.Generator) -> np.ndarray:
     """Test counts of ``sorts`` error-free ``noisy_quicksort`` calls on one
     shuffle of m distinct rows."""
@@ -477,4 +523,5 @@ def run_verification(grid: str = "small", seed: int = 0) -> list[CheckResult]:
     results += verify_quicksort_tests(grid, rng)
     results += verify_quicksort_tests_law(grid, rng)
     results += verify_pair_disagreement(grid, rng)
+    results += verify_walk_laws(grid, rng)
     return results

@@ -6,15 +6,21 @@ instance to a running-majority comparison walk against the supports: an
 instance whose majorities place it inside the support interval is retained
 for the next round, one whose majority agrees with the hypothesis on its side
 is a confirmed agreement, and one that survives the whole walk without either
-break is a suspected mistake.  Each instance's verdict and walk length are
-drawn from the walk's exact law, given its true comparisons against the
-supports, which are read off the keys x @ w* by the rule stated in
-``oracles``; the ledger is charged the votes the walk reads.  The outcome
-keeps the suspected rows, and per-round counts of every fate.
+break is a suspected mistake.  A row's walk law depends only on its class:
+the hypothesis label h and, for each support, whether the row's true
+comparison against it, read off the keys x @ w* by the rule stated in
+``oracles``, is h, is not, or the support is absent.  Each class's joint
+law of (verdict, rounds) is built once per vote accuracy and walk length
+from the per-side first-majority laws (``walk_laws``), and every row's
+outcome is one inverse-CDF draw from its class's law; the ledger is charged
+the votes the walk reads.  The outcome keeps the suspected rows, and
+per-round counts of every fate.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .compare_label import SortedLabeledSet, compare_and_label
 from .geometry import Halfspace
-from .oracles import CrowdOracle, next_odd
+from .oracles import CrowdOracle, first_majority_law, next_odd
 
 
 # verdict codes of the walk, and the fates of the filter's input rows:
@@ -131,6 +137,69 @@ def pick_support(labeled: SortedLabeledSet) -> SupportPair:
     return SupportPair(below=below, above=above)
 
 
+@functools.cache
+def walk_laws(q: float, walk_length: int) -> np.ndarray:
+    """Joint law of the walk's (verdict, rounds) in each class of rows, votes
+    being correct with probability q; read-only, one row per class.
+
+    Row 9h + 3b + a is the class of rows with hypothesis label h (0 for -1,
+    1 for +1) whose states against ``below`` and ``above`` are b and a: 0
+    when the row's true comparison against that support is h, the sign the
+    walk waits for from it, 1 when it is not, and 2 when the support is
+    absent.  With K = (walk_length + 1) / 2 checks, column i < K is AGREE at
+    round 2i + 1, column K + i is INSIDE at round 2i + 1, and column 2K is
+    MISTAKE after all walk_length rounds.
+
+    Each present side's first check whose majority is h is drawn from
+    ``first_majority_law``, independently of the other side; call it E_agree
+    on the side whose break agrees with h (``below`` when h = -1) and
+    E_inside on the other.  AGREE at round t has probability
+    P(E_agree = t) P(E_inside >= t), so AGREE wins ties; INSIDE at t has
+    P(E_inside = t) P(E_agree > t); MISTAKE has
+    P(E_agree > walk_length) P(E_inside > walk_length).  An absent AGREE
+    side never breaks the walk.  An absent INSIDE side breaks it at round 1:
+    with the AGREE side alone, INSIDE needs only that side's majority to be
+    -h, the very condition for the walk to go on.
+    """
+    k = (walk_length + 1) // 2
+    # CDF of a side's first break over the checks, by state
+    cdfs = (first_majority_law(q, walk_length, True), first_majority_law(q, walk_length, False))
+    pair_laws = {}
+    for agree_state, inside_state in itertools.product(range(3), repeat=2):
+        agree = cdfs[agree_state] if agree_state < 2 else np.zeros(k)
+        inside = cdfs[inside_state] if inside_state < 2 else np.ones(k)
+        inside_before = np.concatenate(([0.0], inside[:-1]))  # P(E_inside < t)
+        pair_laws[agree_state, inside_state] = np.concatenate((
+            np.diff(agree, prepend=0.0) * (1.0 - inside_before),
+            np.diff(inside, prepend=0.0) * (1.0 - agree),
+            [(1.0 - agree[-1]) * (1.0 - inside[-1])],
+        ))
+    laws = np.array([
+        pair_laws[(below, above) if h == 0 else (above, below)]
+        for h, below, above in itertools.product(range(2), range(3), range(3))
+    ])
+    laws.flags.writeable = False
+    return laws
+
+
+@functools.cache
+def _walk_table(q: float, walk_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CDFs of ``walk_laws``' rows, row c shifted up by 2c and without
+    its final 1, flattened, with the verdict code and the rounds of each
+    column: a uniform u in [0, 1) searched as 2c + u counts 2K c entries of
+    the rows before c and then the entries of row c at or below u, which is
+    the column drawn (2c + u < 36 keeps u to within 2^-48)."""
+    laws = walk_laws(q, walk_length)
+    cdf = (np.cumsum(laws[:, :-1], axis=1) + 2 * np.arange(len(laws))[:, None]).ravel()
+    k = (walk_length + 1) // 2
+    codes = np.repeat(np.array([_AGREE, _INSIDE, _MISTAKE], dtype=np.int8), [k, k, 1])
+    checks = np.arange(1, walk_length + 1, 2)
+    rounds = np.concatenate((checks, checks, [walk_length]))
+    for table in (cdf, codes, rounds):
+        table.flags.writeable = False
+    return cdf, codes, rounds
+
+
 def _walk_verdicts(
     points: np.ndarray,
     support: SupportPair,
@@ -154,35 +223,27 @@ def _walk_verdicts(
     its majority turns to h, independently of the other side: against
     ``below`` (``above``) that means AGREE when h = -1 (+1) and INSIDE
     otherwise.  A side's true comparison is x @ w* >= ref @ w*, read off
-    the keys, so each side's first such round is drawn from its exact law
-    given whether h is that truth (``CrowdOracle.first_majority``), and the
-    earlier of the two decides, AGREE winning ties.  An absent AGREE side
-    never stops the walk.  An absent INSIDE side stops it at round 1: with
-    the AGREE side alone, INSIDE needs only that side's majority to be -h,
-    the very condition for the walk to go on.
+    the keys, and whether it is h sets the row's class; each row draws its
+    (verdict, rounds) from its class's row of ``walk_laws`` with one
+    uniform and one search of the flattened table.
     """
     if support.below is None and support.above is None:
         raise ValueError("interval test needs at least one support instance")
-    h_labels = np.asarray(h_labels)
+    if walk_length < 1 or walk_length % 2 == 0:
+        raise ValueError("walk length must be a positive odd count")
+    h = np.asarray(h_labels) == 1
     weights = oracle.ground_truth.weights
     keys = points @ weights
-    exits = []
-    for ref, side in ((support.below, 1), (support.above, -1)):
-        if ref is None:
-            exits.append(np.where(h_labels == -side, walk_length + 2, 1))
-        else:
-            toward = (keys >= ref @ weights) == (h_labels == 1)  # truth is the awaited h
-            exits.append(oracle.first_majority(toward, walk_length))
-    below, above = exits
-    agree = np.where(h_labels == -1, below, above)
-    inside = np.where(h_labels == -1, above, below)
-    rounds_used = np.minimum(np.minimum(agree, inside), walk_length)
-    verdicts = np.select(
-        [agree <= rounds_used, inside <= rounds_used], [_AGREE, _INSIDE], _MISTAKE
-    ).astype(np.int8)
+    row = 9 * h
+    for ref, scale in ((support.below, 3), (support.above, 1)):
+        row = row + scale * (2 if ref is None else (keys >= ref @ weights) != h)
+    cdf, codes, rounds_of = _walk_table(oracle.accuracy(comparisons=True), walk_length)
+    drawn = np.searchsorted(cdf, 2 * row + oracle.rng.random(row.size), side="right")
+    drawn -= (len(codes) - 1) * row
+    rounds_used = rounds_of[drawn]
     present = (support.below is not None) + (support.above is not None)
     oracle.ledger.charge_comparisons(int(rounds_used.sum()) * present)
-    return verdicts, rounds_used
+    return codes[drawn], rounds_used
 
 
 def filter_mistakes(

@@ -88,7 +88,8 @@ def sample_instances(cfg: ProblemConfig, n: int, rng: np.random.Generator) -> np
         return np.empty((0, d))
     points = rng.standard_normal((n, d))
     if cfg.distribution is Distribution.UNIT_SPHERE:
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
+        # the row norms, about 2x faster than np.linalg.norm(axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))[:, None]
         # a zero draw has probability zero; guard anyway
         norms[norms == 0.0] = 1.0
         points = points / norms

@@ -12,16 +12,17 @@ x @ w* >= 0 (``Halfspace.predict``), and the true answer of comparing x
 against y is +1 when x @ w* >= y @ w*, ties included.  Each caller computes
 the truths it needs from the keys itself, so ``CrowdOracle`` never sees a
 question.  It holds the trial's random generator and ``QueryLedger`` and
-states the crowd's error law two ways.  ``majority_error`` is the
-probability P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``)
-that a k-vote majority comes out wrong, independently across questions: the
-caller draws which of its tests err and charges their k votes each, to
-``label_queries`` for labels and ``comparison_queries`` for comparisons
-(noisy quicksort and the threshold search).  ``first_majority`` returns, for
-each comparison of the filter walk, the first odd round at which the running
-majority of its votes takes the sign the walk waits for, drawn by inverse
-CDF from ``first_majority_law``; it charges nothing, leaving the caller to
-charge the votes it actually reads.
+states the crowd's error law: ``accuracy`` is the per-vote accuracy q of a
+label or a comparison, and ``majority_error`` the probability
+P[Bin(k, q) <= (k-1)/2] (``analytic.majority_error_exact``) that a k-vote
+majority comes out wrong, independently across questions: the caller draws
+which of its tests err and charges their k votes each, to ``label_queries``
+for labels and ``comparison_queries`` for comparisons (noisy quicksort and
+the threshold search).  The filter walk reads its votes one round at a
+time: ``first_majority_law`` is the law of the first odd round at which the
+running majority of a comparison's votes takes a given sign, from which
+``filtering`` builds the joint law of each walk class and charges the votes
+the walk reads.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ class CrowdOracle:
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
 
-    def _accuracy(self, comparisons: bool) -> float:
+    def accuracy(self, comparisons: bool) -> float:
         """Per-vote accuracy q of a comparison or a label question."""
         if self.config.pool is not None:
             return self.config.pool.vote_accuracy
@@ -201,24 +202,4 @@ class CrowdOracle:
         question, a comparison or a label, comes out wrong."""
         if k < 1 or k % 2 == 0:
             raise ValueError("majority vote size must be a positive odd count")
-        return _majority_error(k, self._accuracy(comparisons))
-
-    def first_majority(self, toward, walk_length: int) -> np.ndarray:
-        """For each comparison, the first odd round t <= walk_length at which
-        the majority of its first t fresh votes takes the sign the walk waits
-        for, or walk_length + 2 when there is none; ``toward`` (bool, one per
-        comparison) says whether that sign is the comparison's true answer.
-
-        Does NOT charge the ledger: a sequential test reads only the votes
-        up to the round at which it stops, and its caller charges those.
-        """
-        if walk_length < 1 or walk_length % 2 == 0:
-            raise ValueError("walk length must be a positive odd count")
-        toward = np.asarray(toward, dtype=bool)
-        accuracy = self._accuracy(comparisons=True)
-        u = self.rng.random(toward.size)
-        index = np.empty(toward.size, dtype=np.int64)
-        for side in (True, False):
-            cdf = first_majority_law(accuracy, walk_length, side)
-            index[toward == side] = np.searchsorted(cdf, u[toward == side], side="right")
-        return 2 * index + 1
+        return _majority_error(k, self.accuracy(comparisons))

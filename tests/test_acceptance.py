@@ -251,7 +251,8 @@ def test_criterion_7_analytic_oracles():
         "error-free quicksort test-count mean and variance vs closed forms within 4 SE "
         "and its law vs the exact law within the DKW bound, "
         "pair disagreement vs monte carlo at random, thin, nearly antiparallel and coplanar "
-        "pairs within 4 SE)",
+        "pairs within 4 SE, "
+        "walk class laws vs pairs of vote-by-vote exit rounds within the DKW bound)",
     )
 
 

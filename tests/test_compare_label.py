@@ -275,11 +275,14 @@ class TestThresholdSearch:
         # each charged k2 labels
         k2 = 3
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 59)
+        # row i of grid sits at i - 299.5, so the m rows from 300 - split
+        # are np.arange(m) - split + 0.5
+        grid = column_points(np.arange(-300, 301) + 0.5)
         for m in range(1, 301):
             cap = math.floor(math.log2(m)) + 1
             for split in range(m + 1):
                 before = oracle.ledger.label_queries
-                t, probes = threshold_search(column_points(np.arange(m) - split + 0.5), k2, oracle)
+                t, probes = threshold_search(grid[300 - split:300 - split + m], k2, oracle)
                 assert t == split + 1
                 assert 1 <= probes <= cap
                 assert oracle.ledger.label_queries - before == probes * k2

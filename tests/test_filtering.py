@@ -12,10 +12,12 @@ from crowdpac.filtering import (
     _MISTAKE,
     FilterConfig,
     SupportPair,
+    _walk_table,
     _walk_verdicts,
     default_walk_length,
     filter_mistakes,
     pick_support,
+    walk_laws,
 )
 from crowdpac.geometry import Halfspace, ProblemConfig, sample_instances
 
@@ -195,6 +197,33 @@ def vote_by_vote_walk(points, support, h_labels, walk_length, truth, q, rng):
     return verdicts, rounds_used
 
 
+def enumerated_walk_law(q, walk_length, h_label, truths):
+    """Law of the walk's (verdict, round) summed over every sequence of
+    votes: each present side casts ``walk_length`` votes, each right with
+    probability q, and the walk reads them round by round as
+    ``vote_by_vote_walk`` does.  ``truths`` are the true comparisons against
+    ``below`` and ``above`` (None for an absent side)."""
+    sides = [(sign, truth) for sign, truth in zip((1, -1), truths) if truth is not None]
+    law = defaultdict(float)
+    for rights in itertools.product((True, False), repeat=walk_length * len(sides)):
+        p = math.prod(q if right else 1 - q for right in rights)
+        sums = [0] * len(sides)
+        outcome = (_MISTAKE, walk_length)
+        for t in range(1, walk_length + 1):
+            for i, (sign, truth) in enumerate(sides):
+                sums[i] += sign * (truth if rights[(t - 1) * len(sides) + i] else -truth)
+            if t % 2 == 0:
+                continue
+            if any(total < 0 and h_label == -sign for total, (sign, _) in zip(sums, sides)):
+                outcome = (_AGREE, t)
+                break
+            if all(total > 0 for total in sums):
+                outcome = (_INSIDE, t)
+                break
+        law[outcome] += p
+    return law
+
+
 # the 16 walk classes: present support sides x true comparisons x h
 WALK_CLASSES = [
     (truths, h_label)
@@ -257,6 +286,29 @@ class TestWalkDistribution:
         assert np.all(rounds % 2 == 1) and np.all(rounds[codes == _MISTAKE] == walk)
         present = sum(t is not None for t in truths)
         assert oracle.ledger.comparison_queries == present * int(rounds.sum())
+
+
+    @pytest.mark.parametrize("q", [0.6, 0.85, 1.0])
+    @pytest.mark.parametrize("walk", [1, 3, 5])
+    def test_walk_laws_match_enumerated_votes(self, walk, q):
+        # every class row: h x the state of each side (its truth is h, is
+        # not, or the side is absent), both sides absent included
+        laws = walk_laws(q, walk)
+        cdf, codes, rounds = _walk_table(q, walk)
+        width = len(codes) - 1
+        assert laws.shape == (18, width + 1) and not laws.flags.writeable
+        assert np.all(laws >= 0) and np.allclose(laws.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        for row, (h, below, above) in enumerate(itertools.product(range(2), range(3), range(3))):
+            h_label = 2 * h - 1
+            truths = [None if state == 2 else h_label * (1 - 2 * state) for state in (below, above)]
+            expected = enumerated_walk_law(q, walk, h_label, truths)
+            got = defaultdict(float)
+            for column, p in enumerate(laws[row]):
+                got[codes[column], rounds[column]] += p
+            for outcome in set(got) | set(expected):
+                assert abs(got[outcome] - expected[outcome]) <= 1e-12, (row, outcome)
+            shifted = cdf[row * width:(row + 1) * width] - 2 * row
+            assert np.allclose(shifted, np.cumsum(laws[row])[:-1], rtol=0, atol=1e-12), row
 
 
 class TestDefaultWalkLength:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crowdpac.analytic import majority_error_exact
 from crowdpac.compare_label import noisy_quicksort, threshold_search
+from crowdpac.filtering import _INSIDE, _MISTAKE, SupportPair, _walk_verdicts
 from crowdpac.oracles import (
     Adversary,
     CrowdConfig,
@@ -38,6 +39,17 @@ def ask_comparison(oracle, k) -> int:
     return 1 if order[0] == 0 else -1
 
 
+def walk_votes(oracle, x, ref, n) -> np.ndarray:
+    """n one-round filter walks of ``x`` against ``ref`` as the lone
+    ``below`` support, with hypothesis label +1: each reads one comparison
+    vote, and stops INSIDE exactly when that vote says x @ w* >= ref @ w*,
+    else ends a MISTAKE.  True where the vote said so."""
+    points = np.tile(np.asarray(x, dtype=float), (n, 1))
+    codes, rounds = _walk_verdicts(points, SupportPair(below=ref, above=None), np.ones(n), 1, oracle)
+    assert np.all(rounds == 1) and np.all((codes == _INSIDE) | (codes == _MISTAKE))
+    return codes == _INSIDE
+
+
 class TestSingleQueries:
     def test_noiseless_label_always_correct(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 11)
@@ -53,18 +65,19 @@ class TestSingleQueries:
 
     def test_comparison_frequency(self):
         # one comparison vote, as the filter walk reads it, is right with
-        # probability 1/2 + beta = 0.85 whichever sign the walk waits for
+        # probability 1/2 + beta = 0.85 whichever sign the walk waits for:
+        # X is above X_LEFT, so the awaited "x >= ref" is true for X against
+        # X_LEFT and false for X_LEFT against X
         oracle = make_oracle([1.0, 0.0], 0.2, 0.35, 13)
-        for toward, right in ((True, 0.85), (False, 0.15)):
-            rounds = oracle.first_majority(np.full(100_000, toward), 1)
-            assert np.all((rounds == 1) | (rounds == 3))
-            hits = np.count_nonzero(rounds == 1)
-            assert abs(hits / 100_000 - right) <= 0.004, toward
+        for (x, ref), said in (((X, X_LEFT), 0.85), ((X_LEFT, X), 0.15)):
+            hits = np.count_nonzero(walk_votes(oracle, x, ref, 100_000))
+            assert abs(hits / 100_000 - said) <= 0.004, said
 
     def test_noiseless_comparison(self):
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 14)
         assert all(ask_comparison(oracle, 1) == 1 for _ in range(100))
-        assert np.all(oracle.first_majority(np.ones(100, dtype=bool), 1) == 1)
+        assert np.all(walk_votes(oracle, X, X_LEFT, 100))
+        assert not np.any(walk_votes(oracle, X_LEFT, X, 100))
 
     def test_each_call_charges_one(self):
         oracle = make_oracle([1.0, 0.0], 0.4, 0.4, 15)
@@ -77,29 +90,33 @@ class TestSingleQueries:
 class TestMajorityVotes:
     def test_vote_counting(self):
         # under every worker model the threshold search charges k label
-        # votes per probe and noisy quicksort k comparison votes per test;
-        # first_majority charges nothing, and empty inputs charge nothing
+        # votes per probe, noisy quicksort k comparison votes per test and
+        # the one-sided filter walk one comparison per round it reads, and
+        # empty inputs charge nothing
         questions = make_rng(19).standard_normal((40, 2))
         for model in VOTE_ACCURACY:
             oracle = model_oracle(model, 19)
             ordered = questions[np.argsort(questions @ oracle.ground_truth.weights)]
+            support = SupportPair(below=None, above=questions[0])
+            h_labels = np.where(questions[:, 0] > 0, 1, -1)
             expected = np.zeros(2, dtype=np.int64)
             for k in (1, 5, 5):
                 _, probes = threshold_search(ordered, k, oracle)
                 order, n_tests = noisy_quicksort(questions, k, oracle)
-                rounds = oracle.first_majority(questions[:, 0] > 0, k)
+                _, rounds = _walk_verdicts(questions, support, h_labels, k, oracle)
                 assert 1 <= probes <= math.floor(math.log2(40)) + 1, model
                 assert sorted(order) == list(range(40)) and n_tests >= 39, model
                 assert rounds.shape == (40,), model
-                assert np.all((rounds % 2 == 1) & (rounds <= k + 2)), model
-                expected += (probes * k, n_tests * k)
+                assert np.all((rounds % 2 == 1) & (rounds <= k)), model
+                expected += (probes * k, n_tests * k + int(rounds.sum()))
             charged = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
             assert charged == tuple(expected), model
 
             empty = np.empty((0, 2))
             assert threshold_search(empty, 3, oracle) == (1, 0), model
             assert noisy_quicksort(empty, 3, oracle)[1] == 0, model
-            assert oracle.first_majority(np.empty(0, dtype=bool), 3).shape == (0,), model
+            codes, rounds = _walk_verdicts(empty, support, h_labels[:0], 3, oracle)
+            assert codes.shape == rounds.shape == (0,), model
             assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == charged
             with pytest.raises(ValueError):
                 threshold_search(ordered, 4, oracle)
@@ -170,17 +187,24 @@ class TestMajorityVotes:
 
     def test_batch_matches_scalar_semantics(self):
         # a noiseless crowd answers each question of a batch as it would
-        # alone: the walk's comparisons stop at round 1 when they wait for
-        # their truth and never otherwise, and a label at x @ w* = 0 is +1
+        # alone: a walk's comparison stops it INSIDE at round 1 when it waits
+        # for its truth and never otherwise, so the walk ends a MISTAKE after
+        # its 3 rounds, and a label at x @ w* = 0 is +1
         oracle = make_oracle([1.0, 0.0], 0.5, 0.5, 25)
-        toward = np.array([True, False, True, False])
-        assert np.array_equal(oracle.first_majority(toward, 3), [1, 5, 1, 5])
-        assert oracle.first_majority(toward[:1], 3)[0] == 1
-        assert oracle.first_majority(toward[1:2], 3)[0] == 5
+        walks = np.array([X, X_LEFT, X, X_LEFT])
+        support = SupportPair(below=np.zeros(2), above=None)
+
+        def walk(rows):
+            return _walk_verdicts(walks[rows], support, np.ones(len(rows)), 3, oracle)
+
+        codes, rounds = walk([0, 1, 2, 3])
+        assert np.array_equal(codes, [_INSIDE, _MISTAKE, _INSIDE, _MISTAKE])
+        assert np.array_equal(rounds, [1, 3, 1, 3])
+        assert walk([0])[0][0] == _INSIDE and walk([1])[0][0] == _MISTAKE
         points = np.array([[-0.5, 0.0], [0.0, 1.0], [2.0, 1.0]])
         assert threshold_search(points, 3, oracle) == (2, 2)
         assert ask_label(oracle, points[1], 3) == 1
-        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (9, 0)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (9, 8 + 1 + 3)
 
     @given(st.lists(st.sampled_from(["label", "compare", "maj3", "maj5c"]), max_size=30))
     @settings(max_examples=40, deadline=None)
@@ -218,10 +242,17 @@ class TestFirstMajority:
 
     @pytest.mark.parametrize("toward", [True, False])
     def test_matches_vote_by_vote_reference(self, toward):
+        # the first majority of the awaited sign is the round at which a
+        # walk against a lone INSIDE side stops: X against the ``below``
+        # support X_LEFT with hypothesis label +1 waits for X >= X_LEFT,
+        # the truth, and X_LEFT against X for X_LEFT >= X, which is not
         n, walk, q = 40_000, 9, 0.7
         # a label accuracy apart from q: the walk votes on comparisons
         oracle = make_oracle([1.0, 0.0], 0.45, 0.2, 34, int(toward))
-        rounds = oracle.first_majority(np.full(n, toward), walk)
+        x, ref = (X, X_LEFT) if toward else (X_LEFT, X)
+        support = SupportPair(below=ref, above=None)
+        codes, walked = _walk_verdicts(np.tile(x, (n, 1)), support, np.ones(n), walk, oracle)
+        rounds = np.where(codes == _INSIDE, walked, walk + 2)
         # +1 for a vote of the awaited sign
         votes = np.where(make_rng(35, int(toward)).random((n, walk)) < q, 1, -1) * (1 if toward else -1)
         hits = np.cumsum(votes, axis=1)[:, ::2] > 0
@@ -230,10 +261,14 @@ class TestFirstMajority:
             p = (np.count_nonzero(rounds == t) + np.count_nonzero(reference == t)) / (2 * n)
             se = math.sqrt(2 * p * (1 - p) / n)
             assert abs(np.count_nonzero(rounds == t) - np.count_nonzero(reference == t)) / n <= 4 * se, t
-        assert oracle.first_majority(np.empty(0, dtype=bool), walk).shape == (0,)
-        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == (0, 0)
+        assert np.all(codes[rounds > walk] == _MISTAKE) and np.all(walked[rounds > walk] == walk)
+        charged = (oracle.ledger.label_queries, oracle.ledger.comparison_queries)
+        assert charged == (0, int(walked.sum()))
+        codes, walked = _walk_verdicts(np.empty((0, 2)), support, np.ones(0), walk, oracle)
+        assert codes.shape == walked.shape == (0,)
+        assert (oracle.ledger.label_queries, oracle.ledger.comparison_queries) == charged
         with pytest.raises(ValueError):
-            oracle.first_majority(np.ones(1, dtype=bool), 4)
+            _walk_verdicts(x[None], support, np.ones(1), 4, oracle)
 
 
 class TestVoteSizes:
