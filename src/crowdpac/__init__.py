@@ -38,7 +38,6 @@ from .pipeline import (
     PhaseReport,
     PipelineConstants,
     RunReport,
-    majority_combine,
     overheads,
     phase1,
     phase2,

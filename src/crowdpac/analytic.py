@@ -13,7 +13,12 @@ Hoeffding domination check below test it.
 ``holdout_error`` draws from ``halfspace_disagreement``, and its majority
 branch from the masses that make up ``pair_disagreement``; the Monte Carlo
 checks below and the full-dimension and exact-arc holdout references in
-``tests/test_pipeline.py`` test them.  The walk's first-majority law in
+``tests/test_pipeline.py`` test them.  ``disagreement_plane`` states the
+plane of two halfspaces once: ``halfspace_disagreement`` is its mass, and
+the pipeline's wedge draws turn rows in its frame.  ``stacked_cdf`` and
+``draw_stacked`` draw from many small laws with one search, for noisy
+quicksort's small segments and the filter walk's classes.  The walk's
+first-majority law in
 ``oracles`` is checked here against a vote-by-vote Monte Carlo, and so is
 the joint (verdict, rounds) law of each walk class that ``filtering``
 builds from it and draws every filter row from.  The test
@@ -184,13 +189,41 @@ def quicksort_tests_law(max_rows: int) -> list[np.ndarray]:
     return laws
 
 
-def halfspace_disagreement(u, v) -> float:
-    """Mass theta/pi on which sign(u.x) != sign(v.x) under any rotation-invariant
-    marginal, theta being the angle between u and v.
+def stacked_cdf(laws) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``laws``, which may be ragged, stacked into one read-only
+    table for ``draw_stacked``: (flat CDF, offsets), entry i of row r's CDF
+    F_r, without its final 1, held as r + 1j F_r(i) at offsets[r] + i.
+
+    numpy orders complex numbers by real part, then imaginary part, so a
+    search for r + 1j u passes the rows before r, then the entries of row r
+    at or below u, comparing u with them exactly.
+    """
+    cdf = np.concatenate([r + 1j * np.cumsum(law)[:-1] for r, law in enumerate(laws)])
+    offsets = np.cumsum([0] + [len(law) - 1 for law in laws[:-1]])
+    cdf.flags.writeable = offsets.flags.writeable = False
+    return cdf, offsets
+
+
+def draw_stacked(table, rows, rng: np.random.Generator) -> np.ndarray:
+    """One draw from each law ``rows[j]`` of a ``stacked_cdf`` table, as numpy
+    integers: with a uniform u in [0, 1), the number of the row's CDF entries
+    at or below u, which is the row's inverse CDF at u (its last entry takes
+    whatever mass the rounding of the CDF leaves)."""
+    cdf, offsets = table
+    rows = np.asarray(rows)
+    return np.searchsorted(cdf, rows + 1j * rng.random(rows.size), side="right") - offsets[rows]
+
+
+def disagreement_plane(u, v) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The plane of two halfspaces: e1 = u/|u|, e2 the unit part of v
+    orthogonal to u, and the mass theta/pi on which sign(u.x) != sign(v.x)
+    under any rotation-invariant marginal, theta being the angle between u
+    and v, so that v/|v| = cos(theta) e1 + sin(theta) e2.
 
     theta is atan2 of v's components orthogonal and parallel to u, which keeps
     thin angles accurate where acos of the cosine loses them.  A pair parallel
-    within rounding (and any pair in d = 1) gives exactly 0 or 1.
+    within rounding (and any pair in d = 1) has no plane: e2 is None and the
+    mass exactly 0 or 1.  Otherwise the mass lies strictly between them.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -202,8 +235,14 @@ def halfspace_disagreement(u, v) -> float:
     rest = v - along * e1
     across = math.sqrt(rest @ rest)
     if across <= 4 * u.size * _EPS * math.sqrt(v @ v):
-        return 0.0 if along > 0 else 1.0
-    return math.atan2(across, along) / math.pi
+        return e1, None, 0.0 if along > 0 else 1.0
+    return e1, rest / across, math.atan2(across, along) / math.pi
+
+
+def halfspace_disagreement(u, v) -> float:
+    """Mass theta/pi on which sign(u.x) != sign(v.x) under any rotation-invariant
+    marginal, theta being the angle between u and v (``disagreement_plane``)."""
+    return disagreement_plane(u, v)[2]
 
 
 def pair_disagreement(w, u, v) -> float:

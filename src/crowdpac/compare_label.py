@@ -10,12 +10,13 @@ Which tests come out wrong is drawn once per sort: each test sits at its own
 majority error.  With distinct keys and no marked slot the final order is
 the argsort of the keys, and only the test count is drawn: from segment
 sizes while a segment has more than 32 rows, then from the exact law of
-each smaller segment's count.  Any other sort runs its levels explicitly,
-flipping exactly the tests at marked slots.  The leftmost positive position
-is then found by binary search with k2-vote majority labels, each flipped
-from the true label when its own draw says the majority errs.  Vote sizes
-come from ``oracles.vote_sizes`` so the whole procedure labels everything
-correctly except with probability delta.
+each smaller segment's count, all of those in one ``analytic.draw_stacked``.
+Any other sort runs its levels explicitly, flipping exactly the tests at
+marked slots.  The leftmost positive position is then found by binary
+search with k2-vote majority labels, each flipped from the true label when
+its own draw says the majority errs.  Vote sizes come from
+``oracles.vote_sizes`` so the whole procedure labels everything correctly
+except with probability delta.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import quicksort_tests_law
+from .analytic import draw_stacked, quicksort_tests_law, stacked_cdf
 from .oracles import CrowdOracle, vote_sizes
 
 
@@ -35,28 +36,25 @@ class SortedLabeledSet:
     """Instances in ascending inferred order with a single label threshold.
 
     ``threshold_index`` is 1-based: positions below it are labeled -1 and
-    positions at or above it are labeled +1; m+1 means everything negative.
-    ``order`` maps sorted positions back to rows of the input set;
-    ``comparison_tests`` and ``probe_count`` record how many pairwise tests
-    and binary-search probes were spent.
+    positions at or above it are labeled +1 (``labels``); m+1 means
+    everything negative.  ``order`` maps sorted positions back to rows of
+    the input set.
     """
 
     instances: np.ndarray
     threshold_index: int
-    labels: np.ndarray
     order: np.ndarray
-    comparison_tests: int
-    probe_count: int
 
     def __post_init__(self):
         m = len(self.instances)
         if not (1 <= self.threshold_index <= m + 1):
             raise ValueError("threshold_index out of range [1, m+1]")
-        if len(self.labels) != m or len(self.order) != m:
-            raise ValueError("instances, labels and order must have equal length")
-        expected = np.where(np.arange(1, m + 1) < self.threshold_index, -1, 1)
-        if not np.array_equal(np.asarray(self.labels), expected):
-            raise ValueError("labels must match the threshold rule")
+        if len(self.order) != m:
+            raise ValueError("instances and order must have equal length")
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.where(np.arange(1, len(self) + 1) < self.threshold_index, -1, 1)
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -116,15 +114,9 @@ _TABLE_ROWS = 32  # segments this small take their test count from the exact law
 
 @functools.cache
 def _tests_table() -> tuple[np.ndarray, np.ndarray]:
-    """The CDFs of error-free quicksort's test count on 0.._TABLE_ROWS rows,
-    row s shifted up by 2s and without its final 1, flattened, with each
-    row's offset in the flat array: a uniform u in [0, 1) searched as 2s + u
-    counts the entries of row s at or below it, which is the count."""
-    laws = quicksort_tests_law(_TABLE_ROWS)
-    cdf = np.concatenate([2 * s + np.cumsum(law)[:-1] for s, law in enumerate(laws)])
-    offsets = np.cumsum([0] + [len(law) - 1 for law in laws[:-1]])
-    cdf.flags.writeable = offsets.flags.writeable = False
-    return cdf, offsets
+    """The laws of error-free quicksort's test count on 0.._TABLE_ROWS rows,
+    stacked for ``analytic.draw_stacked``: row s draws the count of s rows."""
+    return stacked_cdf(quicksort_tests_law(_TABLE_ROWS))
 
 
 def _error_free_tests(n: int, rng: np.random.Generator) -> int:
@@ -133,7 +125,8 @@ def _error_free_tests(n: int, rng: np.random.Generator) -> int:
     A segment of s > _TABLE_ROWS rows costs s - 1 tests and splits at a
     uniform pivot rank floor(u s) (uniform within s 2^-53), one segment at
     a time, since subsorts are independent; every segment of at most
-    _TABLE_ROWS rows then draws its whole count from the exact law.
+    _TABLE_ROWS rows then draws its whole count from the exact law, all
+    such segments in one ``analytic.draw_stacked``.
     """
     large, small, n_tests = [n], [], 0
     u, used = rng.random(n // _TABLE_ROWS + 1).tolist(), 0
@@ -148,10 +141,7 @@ def _error_free_tests(n: int, rng: np.random.Generator) -> int:
         used += 1
         n_tests += s - 1
         large += (n_left, s - 1 - n_left)
-    small = np.array(small)
-    cdf, offsets = _tests_table()
-    found = np.searchsorted(cdf, 2 * small + rng.random(small.size), side="right")
-    return n_tests + int((found - offsets[small]).sum())
+    return n_tests + int(draw_stacked(_tests_table(), small, rng).sum())
 
 
 def _wrong_slots(n_slots: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -238,15 +228,7 @@ def compare_and_label(points, delta: float, oracle: CrowdOracle) -> SortedLabele
     if m < 1:
         raise ValueError("compare_and_label needs at least one instance")
     k1, k2 = vote_sizes(m, delta, oracle.config)
-    order, n_tests = noisy_quicksort(points, k1, oracle)
+    order, _ = noisy_quicksort(points, k1, oracle)
     ordered = np.take(points, order, axis=0)  # the rows of points[order], about 10x faster
-    threshold, probes = threshold_search(ordered, k2, oracle)
-    labels = np.where(np.arange(1, m + 1) < threshold, -1, 1)
-    return SortedLabeledSet(
-        instances=ordered,
-        threshold_index=threshold,
-        labels=labels,
-        order=order,
-        comparison_tests=n_tests,
-        probe_count=probes,
-    )
+    threshold, _ = threshold_search(ordered, k2, oracle)
+    return SortedLabeledSet(instances=ordered, threshold_index=threshold, order=order)

@@ -12,9 +12,9 @@ comparison against it, read off the keys x @ w* by the rule stated in
 ``oracles``, is h, is not, or the support is absent.  Each class's joint
 law of (verdict, rounds) is built once per vote accuracy and walk length
 from the per-side first-majority laws (``walk_laws``), and every row's
-outcome is one inverse-CDF draw from its class's law; the ledger is charged
-the votes the walk reads.  The outcome keeps the suspected rows, and
-per-round counts of every fate.
+outcome is one inverse-CDF draw from its class's law, all rows in one
+``analytic.draw_stacked``; the ledger is charged the votes the walk reads.
+The outcome keeps the suspected rows, and per-round counts of every fate.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import draw_stacked, stacked_cdf
 from .compare_label import SortedLabeledSet, compare_and_label
 from .geometry import Halfspace
 from .oracles import CrowdOracle, first_majority_law, next_odd
@@ -183,21 +184,17 @@ def walk_laws(q: float, walk_length: int) -> np.ndarray:
 
 
 @functools.cache
-def _walk_table(q: float, walk_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CDFs of ``walk_laws``' rows, row c shifted up by 2c and without
-    its final 1, flattened, with the verdict code and the rounds of each
-    column: a uniform u in [0, 1) searched as 2c + u counts 2K c entries of
-    the rows before c and then the entries of row c at or below u, which is
-    the column drawn (2c + u < 36 keeps u to within 2^-48)."""
-    laws = walk_laws(q, walk_length)
-    cdf = (np.cumsum(laws[:, :-1], axis=1) + 2 * np.arange(len(laws))[:, None]).ravel()
+def _walk_table(q: float, walk_length: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """``walk_laws``' rows stacked for ``analytic.draw_stacked``, with the
+    verdict code and the rounds of each column: row c draws a column of
+    class c."""
     k = (walk_length + 1) // 2
     codes = np.repeat(np.array([_AGREE, _INSIDE, _MISTAKE], dtype=np.int8), [k, k, 1])
     checks = np.arange(1, walk_length + 1, 2)
     rounds = np.concatenate((checks, checks, [walk_length]))
-    for table in (cdf, codes, rounds):
-        table.flags.writeable = False
-    return cdf, codes, rounds
+    for column in (codes, rounds):
+        column.flags.writeable = False
+    return stacked_cdf(walk_laws(q, walk_length)), codes, rounds
 
 
 def _walk_verdicts(
@@ -225,7 +222,7 @@ def _walk_verdicts(
     otherwise.  A side's true comparison is x @ w* >= ref @ w*, read off
     the keys, and whether it is h sets the row's class; each row draws its
     (verdict, rounds) from its class's row of ``walk_laws`` with one
-    uniform and one search of the flattened table.
+    ``analytic.draw_stacked`` over the cached table of all classes.
     """
     if support.below is None and support.above is None:
         raise ValueError("interval test needs at least one support instance")
@@ -237,9 +234,8 @@ def _walk_verdicts(
     row = 9 * h
     for ref, scale in ((support.below, 3), (support.above, 1)):
         row = row + scale * (2 if ref is None else (keys >= ref @ weights) != h)
-    cdf, codes, rounds_of = _walk_table(oracle.accuracy(comparisons=True), walk_length)
-    drawn = np.searchsorted(cdf, 2 * row + oracle.rng.random(row.size), side="right")
-    drawn -= (len(codes) - 1) * row
+    table, codes, rounds_of = _walk_table(oracle.accuracy(comparisons=True), walk_length)
+    drawn = draw_stacked(table, row, oracle.rng)
     rounds_used = rounds_of[drawn]
     present = (support.below is not None) + (support.above is not None)
     oracle.ledger.charge_comparisons(int(rounds_used.sum()) * present)

@@ -7,7 +7,8 @@ them together with a fresh agreement sample, and trains a second hypothesis
 on an equal-weight mixture of the disagreeing and agreeing labeled points.
 Phase 3 trains a third hypothesis on instances where the first two disagree.
 It costs no oracle queries: the instances are drawn directly in the two
-antipodal wedges where h1 and h2 disagree, with the draw count a rejection
+antipodal wedges where h1 and h2 disagree, in the plane of their weights
+that ``analytic.disagreement_plane`` gives, with the draw count a rejection
 sampler would have spent.  The returned classifier is the pointwise majority
 of the three.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import halfspace_disagreement
+from .analytic import disagreement_plane, halfspace_disagreement
 from .compare_label import compare_and_label
 from .filtering import FilterConfig, default_walk_length, filter_mistakes
 from .geometry import (
@@ -96,24 +97,17 @@ class RunReport:
 
 
 class MajorityVote:
-    """Pointwise majority of an odd number of predictors."""
+    """Pointwise majority of three predictors; those that are Halfspaces
+    must share one dimension."""
 
-    def __init__(self, *voters):
-        if len(voters) % 2 == 0:
-            raise ValueError("majority vote needs an odd number of voters")
-        self.voters = voters
+    def __init__(self, h1, h2, h3):
+        self.voters = (h1, h2, h3)
+        if len({h.dim for h in self.voters if isinstance(h, Halfspace)}) > 1:
+            raise ValueError("hypotheses must share one dimension")
 
     def predict(self, points) -> np.ndarray:
         total = sum(voter.predict(points) for voter in self.voters)
         return np.where(total >= 0, 1, -1)
-
-
-def majority_combine(h1, h2, h3) -> MajorityVote:
-    """Combine three hypotheses by pointwise majority vote."""
-    dims = {h.dim for h in (h1, h2, h3) if isinstance(h, Halfspace)}
-    if len(dims) > 1:
-        raise ValueError("hypotheses must share one dimension")
-    return MajorityVote(h1, h2, h3)
 
 
 def weak_sample_size(problem: ProblemConfig) -> int:
@@ -276,18 +270,25 @@ def _orthonormal_basis(vectors) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _rotate_onto_wedges(rows, e1, e2, theta: float, rng: np.random.Generator) -> None:
-    """Redraw each row's angle in the plane of the orthonormal e1, e2 uniformly
-    on the wedges [-pi/2, theta - pi/2) and that plus pi, in place, keeping its
-    planar radius and its part orthogonal to the plane.  Those two wedges are
-    where sign(x.e1) differs from sign(x.(cos(theta) e1 + sin(theta) e2)), so
-    a row drawn from a rotation-invariant marginal becomes a draw from that
-    marginal conditioned on the two signs differing."""
+def _onto_wedges(rows, u, v, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` from a rotation-invariant marginal, turned in place into a
+    draw from it conditioned on sign(x.u) != sign(x.v), and returned.  In the
+    frame e1, e2 of ``analytic.disagreement_plane`` the signs differ on the
+    wedges [-pi/2, theta - pi/2) and that plus pi, theta = pi * mass; each
+    row's angle is redrawn uniformly on them, keeping its planar radius and
+    its part orthogonal to the plane.  Without a plane the rows stay as they
+    are: mass 1 is the whole space, and mass 0 must get no rows.
+    """
+    e1, e2, mass = disagreement_plane(u, v)
+    if e2 is None:
+        return rows
+    theta = math.pi * mass
     a, b = rows @ e1, rows @ e2
     radius = np.hypot(a, b)
     offset = rng.random(len(rows)) * (2.0 * theta)
     angle = np.where(offset < theta, offset, offset - theta + math.pi) - math.pi / 2
     rows += np.outer(radius * np.cos(angle) - a, e1) + np.outer(radius * np.sin(angle) - b, e2)
+    return rows
 
 
 def rejection_sample_disagreements(
@@ -309,16 +310,10 @@ def rejection_sample_disagreements(
     theta (total mass p = theta/pi).  Nothing is rejected here: the gaps
     between accepts are geometric(p), and each accepted row is a fresh
     instance whose planar angle is redrawn uniformly on the wedges.  A pair
-    parallel within rounding (or d = 1) has p = 0 or p = 1 exactly.
+    parallel within rounding (or d = 1) has p = 0 or p = 1 exactly
+    (``analytic.halfspace_disagreement``).
     """
-    w2 = h2.weights
-    basis = _orthonormal_basis([h1.weights, w2])
-    along = float(w2 @ basis[:, 0])
-    if basis.shape[1] == 1:
-        theta = 0.0 if along > 0 else math.pi
-    else:
-        theta = math.atan2(float(w2 @ basis[:, 1]), along)
-    p = theta / math.pi
+    p = halfspace_disagreement(h1.weights, h2.weights)
     if p == 0.0:
         return np.empty((0, problem.dimension)), max_draws
     # a gap past the budget ends the run; clipping keeps the sum in int64
@@ -326,9 +321,7 @@ def rejection_sample_disagreements(
     n_accepted = int(np.searchsorted(positions, max_draws, side="right"))
     drawn = int(positions[-1]) if n_accepted == target else max_draws
     rows = sample_instances(problem, n_accepted, rng)
-    if p < 1.0:
-        _rotate_onto_wedges(rows, *basis.T, theta, rng)
-    return rows, drawn
+    return _onto_wedges(rows, h1.weights, h2.weights, rng), drawn
 
 
 def phase3(
@@ -351,20 +344,6 @@ def phase3(
     if len(sample) < m_sqrt:
         return PhaseReport("phase3", h1, 0, 0, sizes, ["phase3:negligible_disagreement"])
     return _sort_label_learn("phase3", sample, oracle, sizes)
-
-
-def _draw_on_wedges(u, v, mass: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` standard normals in the dimension of u and v, conditioned on
-    sign(u.x) != sign(v.x), a set of mass ``mass`` =
-    ``halfspace_disagreement(u, v)``: mass 1 is the whole space, and mass 0
-    takes no rows.  The frame repeats that function's arithmetic, so e2 exists
-    whenever 0 < mass < 1."""
-    rows = rng.standard_normal((count, u.size))
-    if 0.0 < mass < 1.0:
-        e1 = u / np.linalg.norm(u)
-        across = v - float(v @ e1) * e1
-        _rotate_onto_wedges(rows, e1, across / np.linalg.norm(across), math.pi * mass, rng)
-    return rows
 
 
 def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
@@ -405,8 +384,6 @@ def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
         raise ValueError("predictor and ground truth must share one dimension")
     if isinstance(predictor, Halfspace):
         return rng.binomial(n, halfspace_disagreement(predictor.weights, ground_truth.weights)) / n
-    if len(voters) != 3:
-        raise ValueError("holdout_error needs a majority of exactly three voters")
     weights = [ground_truth.weights] + [voter.weights for voter in voters]
     if ground_truth.dim > len(weights):
         basis = _orthonormal_basis(weights)
@@ -422,7 +399,7 @@ def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
 
     # points in A_i: the majority errs where voter j or k errs too
     in_i = rng.binomial(n, mass[i])
-    wrong = errs(_draw_on_wedges(truth, ws[i], mass[i], in_i, rng))
+    wrong = errs(_onto_wedges(rng.standard_normal((in_i, truth.size)), truth, ws[i], rng))
     errors = int(np.count_nonzero(wrong[:, 1] | wrong[:, 2]))
     # points in A_j minus A_i: the majority errs where voter k errs too
     split = halfspace_disagreement(ws[i], ws[j])
@@ -432,7 +409,7 @@ def holdout_error(predictor, ground_truth: Halfspace, problem: ProblemConfig,
     while wanted:
         # only_j / proposal of the proposals are kept: ask for 1.2 times the need
         batch = min(n, math.ceil(1.2 * wanted * proposal / only_j))
-        wrong = errs(_draw_on_wedges(u, v, proposal, batch, rng))
+        wrong = errs(_onto_wedges(rng.standard_normal((batch, truth.size)), u, v, rng))
         kept = wrong[wrong[:, 1] & ~wrong[:, 0], 2][:wanted]
         errors += int(np.count_nonzero(kept))
         wanted -= len(kept)
@@ -487,7 +464,7 @@ def run_boost(
         p1 = phase1(problem, oracle)
         p2 = phase2(p1.hypothesis, problem, constants, filter_cfg, oracle)
         p3 = phase3(p1.hypothesis, p2.hypothesis, problem, constants, oracle)
-        return [p1, p2, p3], majority_combine(p1.hypothesis, p2.hypothesis, p3.hypothesis)
+        return [p1, p2, p3], MajorityVote(p1.hypothesis, p2.hypothesis, p3.hypothesis)
 
     return _trial("boost", problem, crowd, seed, holdout_size, phases)
 

@@ -7,6 +7,8 @@ import pytest
 from crowdpac.analytic import (
     WalkSpec,
     boosted_majority_error,
+    disagreement_plane,
+    draw_stacked,
     halfspace_disagreement,
     hoeffding_majority_bound,
     majority_error_exact,
@@ -17,6 +19,7 @@ from crowdpac.analytic import (
     ruin_probability,
     run_verification,
     simulate_ruin,
+    stacked_cdf,
 )
 
 from conftest import make_rng
@@ -159,6 +162,74 @@ class TestHalfspaceDisagreement:
         for u, v in (([1.0, 0.0], [1.0]), ([0.0, 0.0], [1.0, 0.0]), ([[1.0]], [[1.0]])):
             with pytest.raises(ValueError):
                 halfspace_disagreement(u, v)
+
+
+class TestDisagreementPlane:
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_frame_is_orthonormal_and_spans_the_pair(self, d):
+        rng = make_rng(47, d)
+        for u, v in [rng.standard_normal((2, d)) for _ in range(20)] + [
+            (np.eye(d)[0], np.eye(d)[0] + 1e-12 * np.eye(d)[1]),  # thin
+            (np.eye(d)[0], -np.eye(d)[0] + 1e-12 * np.eye(d)[1]),  # nearly antiparallel
+        ]:
+            e1, e2, mass = disagreement_plane(u, v)
+            frame = np.column_stack([e1, e2])
+            assert np.allclose(frame.T @ frame, np.eye(2), rtol=0, atol=1e-14)
+            for w in (u, v):
+                assert np.allclose(frame @ (frame.T @ w), w, rtol=0, atol=1e-14 * np.linalg.norm(w))
+            theta = math.pi * mass
+            direction = math.cos(theta) * e1 + math.sin(theta) * e2
+            assert np.allclose(direction, v / np.linalg.norm(v), rtol=0, atol=1e-14)
+
+    def test_no_plane_exactly_at_mass_zero_or_one(self):
+        rng = make_rng(48)
+        u = rng.standard_normal(6)
+        pairs = [(u, 3.7 * u), (u, -0.3 * u), (u, u + 1e-18 * rng.standard_normal(6)),
+                 ([2.0], [0.5]), ([2.0], [-0.5]), ([-1.0], [-4.0])]
+        for a, b in pairs:
+            e1, e2, mass = disagreement_plane(a, b)
+            assert e2 is None and mass in (0.0, 1.0)
+            assert np.allclose(e1, np.asarray(a) / np.linalg.norm(a), rtol=0, atol=1e-15)
+        # just past the rounding rule, and random pairs
+        edges = [([1.0, 0.0], [1.0, 3e-15]), ([1.0, 0.0], [-1.0, 3e-15])]
+        for a, b in edges + [rng.standard_normal((2, d)) for d in (2, 3, 20) for _ in range(50)]:
+            _, e2, mass = disagreement_plane(a, b)
+            assert e2 is not None and 0.0 < mass < 1.0
+
+
+class _Uniforms:
+    """A Generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+class TestStackedDraw:
+    # ragged rows with zero-mass entries first, inside and last, and one-entry rows
+    LAWS = [np.array([1.0]), np.array([0.2, 0.1, 0.4, 0.3]), np.array([0.0, 0.3, 0.7, 0.0, 0.0]),
+            np.array([1.0]), np.array([0.1, 0.0, 0.2, 0.7]), np.array([0.5, 0.5])]
+
+    def test_draws_each_rows_inverse_cdf(self):
+        rows, uniforms, expected = [], [], []
+        for r, law in enumerate(self.LAWS):
+            cdf = np.cumsum(law)
+            for u in [0.0, *cdf[cdf < 1.0], 1.0 - 2.0**-53]:
+                # the first entry whose CDF passes u; the last takes the rest
+                rows.append(r)
+                uniforms.append(u)
+                expected.append(next((i for i, f in enumerate(cdf) if f > u), len(law) - 1))
+        table = stacked_cdf(self.LAWS)
+        drawn = draw_stacked(table, np.array(rows), _Uniforms(uniforms))
+        assert drawn.tolist() == expected
+        assert all(self.LAWS[r][i] > 0 for r, i in zip(rows, drawn))
+
+    def test_table_is_read_only(self):
+        for part in stacked_cdf(self.LAWS):
+            assert not part.flags.writeable
 
 
 class TestPairDisagreement:

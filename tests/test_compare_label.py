@@ -340,13 +340,27 @@ class TestCompareAndLabel:
         assert oracle.ledger.label_queries == k2
         assert labeled.threshold_index in (1, 2)
 
-    def test_query_accounting(self):
+    def test_query_accounting(self, monkeypatch):
+        # the ledger holds k1 votes per test and k2 per probe that the sort
+        # and the search report
+        counts = {}
+
+        def spy(fn):
+            def counted(points, k, oracle):
+                result = fn(points, k, oracle)
+                counts[fn.__name__] = result[1]
+                return result
+            return counted
+
+        for fn in (noisy_quicksort, threshold_search):
+            monkeypatch.setattr(compare_label, fn.__name__, spy(fn))
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 73)
         points = column_points(make_rng(74).standard_normal(40))
         k1, k2 = vote_sizes(40, 0.01, oracle.config)
-        labeled = compare_and_label(points, 0.01, oracle)
-        assert oracle.ledger.comparison_queries == k1 * labeled.comparison_tests
-        assert oracle.ledger.label_queries == k2 * labeled.probe_count
+        compare_and_label(points, 0.01, oracle)
+        assert counts["noisy_quicksort"] > 0 and counts["threshold_search"] > 0
+        assert oracle.ledger.comparison_queries == k1 * counts["noisy_quicksort"]
+        assert oracle.ledger.label_queries == k2 * counts["threshold_search"]
 
     def test_rejects_empty_input(self):
         oracle = make_oracle([1.0, 0.0], 0.3, 0.3, 75)
@@ -385,26 +399,12 @@ class TestCompareAndLabel:
 
 
 class TestSortedLabeledSet:
-    def test_label_consistency_enforced(self):
-        points = column_points([-1.0, 1.0])
-        with pytest.raises(ValueError):
-            SortedLabeledSet(
-                instances=points,
-                threshold_index=2,
-                labels=np.array([1, -1]),  # contradicts the threshold rule
-                order=np.array([0, 1]),
-                comparison_tests=0,
-                probe_count=0,
-            )
+    def test_labels_follow_the_threshold(self):
+        points = column_points([-1.0, 0.5, 1.0])
+        labeled = SortedLabeledSet(instances=points, threshold_index=2, order=np.arange(3))
+        assert labeled.labels.tolist() == [-1, 1, 1]
 
     def test_threshold_range_enforced(self):
         points = column_points([-1.0, 1.0])
         with pytest.raises(ValueError):
-            SortedLabeledSet(
-                instances=points,
-                threshold_index=4,
-                labels=np.array([-1, 1]),
-                order=np.array([0, 1]),
-                comparison_tests=0,
-                probe_count=0,
-            )
+            SortedLabeledSet(instances=points, threshold_index=4, order=np.array([0, 1]))

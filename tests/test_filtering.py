@@ -26,15 +26,7 @@ from conftest import column_points, make_oracle, make_rng
 
 def labeled_set(projections, threshold):
     points = column_points(projections)
-    m = len(points)
-    return SortedLabeledSet(
-        instances=points,
-        threshold_index=threshold,
-        labels=np.where(np.arange(1, m + 1) < threshold, -1, 1),
-        order=np.arange(m),
-        comparison_tests=0,
-        probe_count=0,
-    )
+    return SortedLabeledSet(instances=points, threshold_index=threshold, order=np.arange(len(points)))
 
 
 def rotated(mass):
@@ -294,7 +286,7 @@ class TestWalkDistribution:
         # every class row: h x the state of each side (its truth is h, is
         # not, or the side is absent), both sides absent included
         laws = walk_laws(q, walk)
-        cdf, codes, rounds = _walk_table(q, walk)
+        (cdf, offsets), codes, rounds = _walk_table(q, walk)
         width = len(codes) - 1
         assert laws.shape == (18, width + 1) and not laws.flags.writeable
         assert np.all(laws >= 0) and np.allclose(laws.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -307,8 +299,9 @@ class TestWalkDistribution:
                 got[codes[column], rounds[column]] += p
             for outcome in set(got) | set(expected):
                 assert abs(got[outcome] - expected[outcome]) <= 1e-12, (row, outcome)
-            shifted = cdf[row * width:(row + 1) * width] - 2 * row
-            assert np.allclose(shifted, np.cumsum(laws[row])[:-1], rtol=0, atol=1e-12), row
+            stacked = cdf[offsets[row]:offsets[row] + width]
+            assert np.all(stacked.real == row), row
+            assert np.allclose(stacked.imag, np.cumsum(laws[row])[:-1], rtol=0, atol=1e-12), row
 
 
 class TestDefaultWalkLength:

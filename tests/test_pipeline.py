@@ -20,7 +20,6 @@ from crowdpac.pipeline import (
     PipelineConstants,
     draw_equal_mixture,
     holdout_error,
-    majority_combine,
     overheads,
     phase1,
     phase2,
@@ -310,7 +309,7 @@ class TestHoldout:
         rng = make_rng(244)
         truth = Halfspace(rng.standard_normal(20))
         voters = [Halfspace(truth.weights + 0.5 * rng.standard_normal(20)) for _ in range(3)]
-        combined = majority_combine(*voters)
+        combined = MajorityVote(*voters)
         seeds, n = 200, 5000
         reduced = np.array([holdout_error(combined, truth, problem, n, make_rng(245, s))
                             for s in range(seeds)])
@@ -355,18 +354,18 @@ class TestHoldout:
         w = random_unit_vector(d, make_rng(250, d))
         problem = ProblemConfig(dimension=d)
         truth, h = Halfspace(w), Halfspace(2.0 * w)
-        assert holdout_error(majority_combine(h, h, truth), truth, problem, 1000, make_rng(251)) == 0.0
+        assert holdout_error(MajorityVote(h, h, truth), truth, problem, 1000, make_rng(251)) == 0.0
         assert holdout_error(Halfspace(-w), truth, problem, 1000, make_rng(252)) == 1.0
         if d > 1:
             near = Halfspace(w + 1e-12 * random_unit_vector(d, make_rng(253, d)))
-            assert holdout_error(majority_combine(h, near, near), truth, problem, 1000, make_rng(254)) == 0.0
+            assert holdout_error(MajorityVote(h, near, near), truth, problem, 1000, make_rng(254)) == 0.0
 
     @pytest.mark.parametrize("d", [3, 20])
     def test_thin_voters_match_full_draw(self, d):
         # voters as thin as a boosted run's: only the two thinnest error sets are drawn
         problem = ProblemConfig(dimension=d, target_error=0.1)
         truth = random_unit_vector(d, make_rng(260, d))
-        combined = majority_combine(*thin_voters(truth, THIN_MASSES, make_rng(261, d)))
+        combined = MajorityVote(*thin_voters(truth, THIN_MASSES, make_rng(261, d)))
         seeds, n = 100, 20_000
         drawn = np.array([holdout_error(combined, Halfspace(truth), problem, n, make_rng(262, d, s))
                           for s in range(seeds)])
@@ -388,7 +387,7 @@ class TestHoldout:
         voters = thin_voters(truth, masses, rng)
         p = arc_majority_error(truth, [h.weights for h in voters])
         seeds, n = 400, 20_000
-        counts = n * np.array([holdout_error(majority_combine(*voters), Halfspace(truth), problem, n,
+        counts = n * np.array([holdout_error(MajorityVote(*voters), Halfspace(truth), problem, n,
                                              make_rng(265, key, s)) for s in range(seeds)])
         mean, var = n * p, n * p * (1 - p)
         assert abs(counts.mean() - mean) <= 4 * math.sqrt(var / seeds)
@@ -399,7 +398,7 @@ class TestHoldout:
         # about n (p_1 + p_2) normal rows, where the full draw takes n
         d, n = 20, 20_000
         truth = random_unit_vector(d, make_rng(266))
-        combined = majority_combine(*thin_voters(truth, THIN_MASSES, make_rng(267)))
+        combined = MajorityVote(*thin_voters(truth, THIN_MASSES, make_rng(267)))
         problem = ProblemConfig(dimension=d, target_error=0.1)
         rows = []
         for s in range(20):
@@ -473,7 +472,7 @@ class TestDegenerateMajorities:
     def counts(self, voters, truth, key):
         problem = ProblemConfig(dimension=truth.size, target_error=0.1)
         return self.N * np.array([
-            holdout_error(majority_combine(*voters), Halfspace(truth), problem, self.N,
+            holdout_error(MajorityVote(*voters), Halfspace(truth), problem, self.N,
                           make_rng(270, key, s))
             for s in range(self.SEEDS)
         ])
@@ -523,14 +522,8 @@ class TestDegenerateMajorities:
         problem = ProblemConfig(dimension=1)
         for voters, expected in (([plus, plus, plus], 0.0), ([plus, minus, plus], 0.0),
                                  ([minus, plus, minus], 1.0), ([minus, minus, minus], 1.0)):
-            error = holdout_error(majority_combine(*voters), Halfspace(truth), problem, 1000, make_rng(274))
+            error = holdout_error(MajorityVote(*voters), Halfspace(truth), problem, 1000, make_rng(274))
             assert error == expected
-
-    def test_voter_count_other_than_three_rejected(self):
-        truth = Halfspace(np.array([1.0, 0.0]))
-        for count in (1, 5):
-            with pytest.raises(ValueError, match="three"):
-                holdout_error(MajorityVote(*[truth] * count), truth, PROBLEM, 100, make_rng(275))
 
 
 class _FixedErrorVoter:
@@ -550,19 +543,25 @@ class _FixedErrorVoter:
 class TestMajorityCombine:
     def test_identical_voters_reduce_to_one(self):
         h = Halfspace(np.array([1.0, 2.0]))
-        combined = majority_combine(h, h, h)
+        combined = MajorityVote(h, h, h)
         points = make_rng(241).standard_normal((500, 2))
         assert np.array_equal(combined.predict(points), h.predict(points))
 
     def test_two_against_one(self):
         plus = Halfspace(np.array([1.0, 0.0]))
         minus = Halfspace(np.array([-1.0, 0.0]))
-        combined = majority_combine(plus, plus, minus)
+        combined = MajorityVote(plus, plus, minus)
         assert combined.predict(np.array([[1.0, 0.0]]))[0] == 1
+
+    def test_voter_count_other_than_three_rejected(self):
+        truth = Halfspace(np.array([1.0, 0.0]))
+        for count in (1, 5):
+            with pytest.raises(TypeError):
+                MajorityVote(*[truth] * count)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            majority_combine(
+            MajorityVote(
                 Halfspace(np.array([1.0])),
                 Halfspace(np.array([1.0, 0.0])),
                 Halfspace(np.array([1.0, 0.0])),
@@ -572,7 +571,7 @@ class TestMajorityCombine:
     def test_independent_voter_identity(self, p):
         truth = Halfspace(np.array([1.0, 0.0]))
         voters = [_FixedErrorVoter(truth, p, s) for s in range(3)]
-        combined = majority_combine(*voters)
+        combined = MajorityVote(*voters)
         points = sample_instances(PROBLEM, 100_000, make_rng(242, int(p * 10)))
         err = np.mean(combined.predict(points) != truth.predict(points))
         assert abs(err - boosted_majority_error(p)) <= 0.01
